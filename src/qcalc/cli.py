@@ -53,14 +53,15 @@ class CliConfig:
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        if self.budget is not None and self.budget < 16:
+        # QCALC_BUDGET is read even under --budget, so a malformed value is
+        # a usage error before any check runs.
+        env_budget = assignment_budget()
+        if self.budget is None:
+            self.budget = env_budget
+        if self.budget < 16:
             raise ValueError("budget must be at least 16")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
-
-    @property
-    def effective_budget(self) -> int:
-        return self.budget if self.budget is not None else assignment_budget()
 
 
 def _emit_json(payload) -> None:
@@ -127,7 +128,7 @@ def _cmd_eval(args, cfg: CliConfig) -> int:
 def _cmd_equiv(args, cfg: CliConfig) -> int:
     if args.file:
         report = check_assertions(
-            Path(args.file).read_text(), budget=cfg.effective_budget, jobs=cfg.jobs
+            Path(args.file).read_text(), budget=cfg.budget, jobs=cfg.jobs
         )
         if cfg.format == "json":
             print(report_to_json_text(report))
@@ -137,7 +138,7 @@ def _cmd_equiv(args, cfg: CliConfig) -> int:
     if args.assertion is None:
         raise ValueError("equiv needs an \"LHS == RHS\" argument or --file")
     lhs, rhs = parse_assertion(args.assertion)
-    result = check_equiv(lhs, rhs, budget=cfg.effective_budget, jobs=cfg.jobs)
+    result = check_equiv(lhs, rhs, budget=cfg.budget, jobs=cfg.jobs)
     payload = {
         "lhs": print_expr(lhs),
         "rhs": print_expr(rhs),
@@ -389,6 +390,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (EvalError, ValueError, KeyError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input is nested too deeply", file=sys.stderr)
         return 2
 
 

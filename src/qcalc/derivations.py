@@ -41,6 +41,7 @@ class _Script:
         occurrence: int = 0,
         inside: int | None = None,
     ) -> "_Script":
+        subst = _normalize_subst(subst)
         hits = find_applications(self.current, rule, direction, subst, params)
         if inside is not None:
             # Restrict to one stored child of the top-level juxtaposition.
@@ -66,7 +67,7 @@ class _Script:
                 rule,
                 direction,
                 pos,
-                _normalize_subst(subst),
+                subst,
                 dict(params or {}),
                 result,
             )

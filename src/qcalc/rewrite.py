@@ -26,6 +26,7 @@ from functools import lru_cache
 from itertools import product as iproduct
 from typing import Callable, Mapping, Sequence
 
+from .constructor import op_form
 from .kernel import Q8Op, q8_mul, q8_power
 from .textio import (
     Expr,
@@ -38,8 +39,8 @@ from .textio import (
     ac_equal,
     canonical_text,
     children,
+    is_lof_expr,
     juxt,
-    mark,
     parse,
     power,
     print_expr,
@@ -68,12 +69,16 @@ class SideConditionViolation(RewriteError):
 
 class NoMatch(RewriteError):
     def __init__(self, expected: Expr, found: Expr) -> None:
-        super().__init__(
-            f"expected {print_expr(expected) or '(void)'},"
-            f" found {print_expr(found) or '(void)'}"
-        )
+        super().__init__(expected, found)
         self.expected = expected
         self.found = found
+
+    def __str__(self) -> str:
+        # Printed on demand: a site search raises and drops many of these.
+        return (
+            f"expected {print_expr(self.expected) or '(void)'},"
+            f" found {print_expr(self.found) or '(void)'}"
+        )
 
 
 @dataclass(frozen=True)
@@ -153,17 +158,6 @@ def _templated(template: str) -> Callable[[Mapping[str, object]], Expr]:
     return lambda params: build(params.get("alpha", ""), params.get("beta", ""))
 
 
-def _op_form(g: Q8Op, body: Expr) -> Expr:
-    """Canonical syntax for an operator applied to body."""
-    if g is Q8Op.P1:
-        return body
-    if g is Q8Op.M1:
-        return mark(body)
-    if not g.negated:
-        return Mark(g.axis, body)
-    return Power(g.axis, body, 3)
-
-
 def _qcomp_lhs(params: Mapping[str, object]) -> Expr:
     inner = power(str(params["alpha"]), Var("A"), int(params["m"]))
     return power(str(params["beta"]), inner, int(params["n"]))
@@ -174,7 +168,7 @@ def _qcomp_rhs(params: Mapping[str, object]) -> Expr:
         q8_power(_AXIS_OPS[str(params["alpha"])], int(params["m"])),
         q8_power(_AXIS_OPS[str(params["beta"])], int(params["n"])),
     )
-    return _op_form(g, Var("A"))
+    return op_form(g, Var("A"))
 
 
 _AXIS_OPS = {"i": Q8Op.I, "j": Q8Op.J, "k": Q8Op.K}
@@ -379,8 +373,6 @@ def replace_at(e: Expr, pos: Sequence[int], new: Expr) -> Expr:
 
 
 def _all_lof(slots) -> bool:
-    from .textio import is_lof_expr
-
     return all(is_lof_expr(s) for s in slots)
 
 
@@ -390,12 +382,16 @@ def _purity_error(e: Expr):
     )
 
 
+def _walk(e: Expr, pos: tuple[int, ...] = ()):
+    """(position, subterm) pairs of e, preorder, in address order."""
+    yield pos, e
+    for idx, (child, _) in enumerate(addressed_children(e)):
+        yield from _walk(child, pos + (idx,))
+
+
 def all_positions(e: Expr) -> list[tuple[int, ...]]:
     """Every position of e, preorder, in address order."""
-    out: list[tuple[int, ...]] = [()]
-    for idx, (child, _) in enumerate(addressed_children(e)):
-        out.extend((idx,) + p for p in all_positions(child))
-    return out
+    return [pos for pos, _ in _walk(e)]
 
 
 # ---------------------------------------------------------------------------
@@ -420,21 +416,13 @@ def _normalize_subst(subst: Mapping[str, Expr | str] | None) -> dict[str, Expr]:
     return out
 
 
-def apply_rule(
-    e: Expr,
+def _instantiate(
     rule: Rule | str,
-    direction: str = "ltr",
-    pos: Sequence[int] = (),
-    subst: Mapping[str, Expr | str] | None = None,
-    params: Mapping[str, object] | None = None,
-) -> Expr:
-    """Apply one rule instance at a position.
-
-    The rule side selected by `direction`, instantiated with `subst`, must
-    match the addressed subterm up to juxtaposition reordering; at a
-    juxtaposition it may match a sub-multiset of the children, the rest
-    passing through unchanged.
-    """
+    direction: str,
+    subst: Mapping[str, Expr | str] | None,
+    params: Mapping[str, object] | None,
+) -> tuple[Expr, Expr]:
+    """The (source, destination) instance of a rule side pair."""
     if isinstance(rule, str):
         db = rules()
         if rule not in db:
@@ -455,15 +443,29 @@ def apply_rule(
             f"substitution for rule {rule.id} is missing {sorted(missing)}"
         )
     try:
-        instance_src = substitute(src_pat, bindings)
-        instance_dst = substitute(dst_pat, bindings)
+        return substitute(src_pat, bindings), substitute(dst_pat, bindings)
     except ValueError as err:
         raise BadSubstitution(str(err)) from err
 
-    target = child_at(e, pos)
-    remainder = _match(target, instance_src)
-    replacement = juxt(*remainder, instance_dst)
-    return replace_at(e, pos, replacement)
+
+def apply_rule(
+    e: Expr,
+    rule: Rule | str,
+    direction: str = "ltr",
+    pos: Sequence[int] = (),
+    subst: Mapping[str, Expr | str] | None = None,
+    params: Mapping[str, object] | None = None,
+) -> Expr:
+    """Apply one rule instance at a position.
+
+    The rule side selected by `direction`, instantiated with `subst`, must
+    match the addressed subterm up to juxtaposition reordering; at a
+    juxtaposition it may match a sub-multiset of the children, the rest
+    passing through unchanged.
+    """
+    instance_src, instance_dst = _instantiate(rule, direction, subst, params)
+    remainder = _match(child_at(e, pos), instance_src)
+    return replace_at(e, pos, juxt(*remainder, instance_dst))
 
 
 def _match(target: Expr, instance_src: Expr) -> list[Expr]:
@@ -494,10 +496,16 @@ def find_applications(
     params: Mapping[str, object] | None = None,
 ) -> list[tuple[int, ...]]:
     """All positions where the given rule instance applies (preorder)."""
+    try:
+        instance_src, instance_dst = _instantiate(rule, direction, subst, params)
+    except RewriteError:
+        return []
     hits = []
-    for pos in all_positions(e):
+    for pos, target in _walk(e):
         try:
-            apply_rule(e, rule, direction, pos, subst, params)
+            remainder = _match(target, instance_src)
+            # The replacement may still be refused: tuple slots stay plain LoF.
+            replace_at(e, pos, juxt(*remainder, instance_dst))
         except RewriteError:
             continue
         hits.append(pos)

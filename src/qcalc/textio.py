@@ -19,7 +19,7 @@ line, with `#` starting a comment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Union
+from typing import Mapping, Union
 
 PLAIN = ""
 IMAGINARY_SUBS = ("i", "j", "k")
@@ -338,16 +338,17 @@ def print_expr(e: Expr) -> str:
 def ac_canon(e: Expr) -> Expr:
     """Canonical form modulo commutativity of juxtaposition.
 
-    Juxtaposition children are sorted by their printed form (a total order,
-    since printing is injective on canonical trees).
+    Juxtaposition children are sorted by their printed form, stable on
+    ties.  Printing is not injective (an exponent application whose base is
+    a juxtaposition prints like a juxtaposition ending in one), so two
+    canonical trees can print alike and still differ.
     """
     if isinstance(e, Mark):
         return Mark(e.sub, ac_canon(e.body))
     if isinstance(e, Power):
         return Power(e.sub, ac_canon(e.body), e.exponent)
     if isinstance(e, Juxt):
-        parts = sorted((ac_canon(p) for p in e.parts), key=print_expr)
-        return Juxt(tuple(parts))
+        return Juxt(tuple(ac_canon(p) for p in sorted(e.parts, key=canonical_text)))
     if isinstance(e, Tuple4):
         return Tuple4(tuple(ac_canon(s) for s in e.slots))
     if isinstance(e, ExpApply):
@@ -356,12 +357,43 @@ def ac_canon(e: Expr) -> Expr:
 
 
 def ac_equal(a: Expr, b: Expr) -> bool:
-    """Structural equality up to juxtaposition reordering."""
-    return ac_canon(a) == ac_canon(b)
+    """Structural equality up to juxtaposition reordering.
+
+    Unequal keys settle almost every call.  Equal keys are confirmed
+    structurally, and on the canonical trees unless the terms are equal as
+    they stand, because printing is not injective (see ac_canon).
+    """
+    return canonical_text(a) == canonical_text(b) and (a == b or ac_canon(a) == ac_canon(b))
 
 
 def canonical_text(e: Expr) -> str:
-    return print_expr(ac_canon(e))
+    """print_expr(ac_canon(e)), built from the children's keys.
+
+    The key is cached on the node outside its dataclass fields, so
+    equality, hashing and repr are unaffected and shared subterms are
+    keyed once.
+    """
+    key = e.__dict__.get("_canonical_text")
+    if key is not None:
+        return key
+    if isinstance(e, Void):
+        key = ""
+    elif isinstance(e, Var):
+        key = e.name
+    elif isinstance(e, Mark):
+        key = f"[{canonical_text(e.body)}]{e.sub}"
+    elif isinstance(e, Power):
+        key = f"[{canonical_text(e.body)}]{e.sub}^{e.exponent}"
+    elif isinstance(e, Juxt):
+        key = " ".join(sorted(canonical_text(p) for p in e.parts))
+    elif isinstance(e, Tuple4):
+        key = "{" + ", ".join(canonical_text(s) for s in e.slots) + "}"
+    elif isinstance(e, ExpApply):
+        key = f"{canonical_text(e.base)}^({canonical_text(e.exponent)})"
+    else:
+        raise TypeError(f"not an expression: {e!r}")
+    object.__setattr__(e, "_canonical_text", key)
+    return key
 
 
 def children(e: Expr) -> tuple[Expr, ...]:
@@ -374,13 +406,6 @@ def children(e: Expr) -> tuple[Expr, ...]:
     if isinstance(e, ExpApply):
         return (e.base, e.exponent)
     return ()
-
-
-def iter_subexprs(e: Expr) -> Iterator[Expr]:
-    """Preorder walk of e and all its subexpressions."""
-    yield e
-    for c in children(e):
-        yield from iter_subexprs(c)
 
 
 def free_vars(e: Expr) -> tuple[set[str], set[str]]:

@@ -56,12 +56,12 @@ DEFAULT_BUDGET = 16 ** 6
 def assignment_budget() -> int:
     """The default budget, overridable via the QCALC_BUDGET variable."""
     raw = os.environ.get("QCALC_BUDGET")
-    if raw:
-        try:
-            return max(16, int(raw))
-        except ValueError:
-            pass
-    return DEFAULT_BUDGET
+    if not raw:
+        return DEFAULT_BUDGET
+    try:
+        return max(16, int(raw))
+    except ValueError:
+        raise ValueError(f"QCALC_BUDGET must be an integer, not {raw!r}") from None
 
 
 class BudgetExceeded(Exception):

@@ -184,3 +184,19 @@ def test_env_budget_override(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 2
     assert "budget" in captured.err
+
+
+def test_deep_nesting_is_a_usage_error(capsys):
+    deep = "[" * 400 + "A" + "]" * 400
+    code, out, err = run(capsys, "equiv", f"{deep} == A")
+    assert code == 2
+    assert out == ""
+    assert err == "error: input is nested too deeply\n"
+
+
+def test_malformed_env_budget_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("QCALC_BUDGET", "abc")
+    code, out, err = run(capsys, "equiv", "A == A")
+    assert code == 2
+    assert out == ""
+    assert "QCALC_BUDGET" in err

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from qcalc import oracle
@@ -27,6 +29,16 @@ def test_collection_is_complete():
 def test_every_builtin_script_passes(name):
     report = check_derivation(builtin_derivation(name))
     assert report.ok, report.render()
+
+
+def test_builtin_scripts_are_byte_stable():
+    # sha256 of every Derivation.dumps(), each followed by a newline, in
+    # builtin order; any change to positions, substitutions or printing
+    # shows here.
+    text = "".join(d.dumps() + "\n" for d in builtin_derivations())
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "93e7e06c9f5407cf842d6969089aeca290231ad56825ff68885abda4da0bc3a2"
+    )
 
 
 def test_semantic_invariant_independent_of_recorded_steps():

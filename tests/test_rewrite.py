@@ -10,6 +10,7 @@ from qcalc.rewrite import (
     BadSubstitution,
     Derivation,
     NoMatch,
+    RewriteError,
     SideConditionViolation,
     Step,
     all_positions,
@@ -21,7 +22,8 @@ from qcalc.rewrite import (
     rules,
     validate_rules,
 )
-from qcalc.textio import ac_equal, free_vars, parse, print_expr
+from qcalc.derivations import builtin_derivations
+from qcalc.textio import Var, ac_equal, free_vars, juxt, parse, print_expr, substitute
 
 
 def test_all_rules_semantically_valid():
@@ -75,6 +77,14 @@ class TestApplyRule:
         assert print_expr(child_at(e, (1,))) == "b"
         out = replace_at(e, (0,), parse("[q]"))
         assert print_expr(out) == "b [q]"
+
+    def test_positions_of_substituted_exponent_base_follow_its_printed_key(self):
+        # substitute builds (b a)^([]i); it is addressed by its key, the
+        # printed "a b^([]i)", so it sorts after "a".
+        built = substitute(parse("X^([]i)"), {"X": parse("b a")})
+        e = juxt(built, Var("a"), parse("[c]"))
+        assert [print_expr(child_at(e, (i,))) for i in range(3)] == ["[c]", "a", "b a^([]i)"]
+        assert print_expr(child_at(e, (2, 0, 0))) == "a"
 
     def test_inner_position(self):
         e = parse("[[x]] y")
@@ -233,3 +243,37 @@ class TestDerivations:
         assert all(len(p) <= 3 for p in positions)
         subterms = {print_expr(child_at(e, p)) for p in positions}
         assert {"[a] {x, , , y}", "[a]", "a", "{x, , , y}", "x", "y", ""} <= subterms
+
+
+def _reference_applications(e, rule, direction, subst, params):
+    """find_applications as a full apply_rule trial at every position."""
+    hits = []
+    for pos in all_positions(e):
+        try:
+            apply_rule(e, rule, direction, pos, subst, params)
+        except RewriteError:
+            continue
+        hits.append(pos)
+    return hits
+
+
+def test_find_applications_matches_per_position_trials():
+    for d in builtin_derivations():
+        current = d.start
+        for step in d.steps:
+            for direction in ("ltr", "rtl"):
+                args = (current, step.rule, direction, step.subst, step.params)
+                assert find_applications(*args) == _reference_applications(*args), (
+                    d.name, step.rule, direction)
+            assert step.pos in find_applications(
+                current, step.rule, step.direction, step.subst, step.params)
+            current = step.result
+
+
+def test_find_applications_keeps_tuple_purity_check():
+    # [x] matches in the first slot, but [[x]i]i may not replace it there.
+    e = parse("{[x], , , }")
+    with pytest.raises(BadSubstitution):
+        apply_rule(e, "Q1-SQR", "rtl", (0,), {"A": "x"}, {"alpha": "i"})
+    assert find_applications(e, "Q1-SQR", "rtl", {"A": "x"}, {"alpha": "i"}) == []
+    assert find_applications(e, "A3-Reflexion", "rtl", {"A": "[x]"}) == [(0,)]

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import q_exprs, random_q_expr
 from qcalc.textio import (
@@ -13,12 +16,43 @@ from qcalc.textio import (
     Void,
     ac_canon,
     ac_equal,
+    canonical_text,
     free_vars,
+    juxt,
     parse,
     parse_assertion,
     parse_qlf,
     print_expr,
     substitute,
+)
+
+
+def _shuffled(e, rnd: random.Random):
+    """e rebuilt with every juxtaposition's children in a random order."""
+    if isinstance(e, Mark):
+        return Mark(e.sub, _shuffled(e.body, rnd))
+    if isinstance(e, Power):
+        return Power(e.sub, _shuffled(e.body, rnd), e.exponent)
+    if isinstance(e, Juxt):
+        parts = [_shuffled(p, rnd) for p in e.parts]
+        rnd.shuffle(parts)
+        return Juxt(tuple(parts))
+    if isinstance(e, Tuple4):
+        return Tuple4(tuple(_shuffled(s, rnd) for s in e.slots))
+    if isinstance(e, ExpApply):
+        return ExpApply(_shuffled(e.base, rnd), _shuffled(e.exponent, rnd))
+    return e
+
+
+# q_exprs builds no exponent application; these terms add them over any
+# base, including the juxtaposed bases that only substitution produces.
+keyed_exprs = st.recursive(
+    q_exprs,
+    lambda children: st.one_of(
+        st.builds(ExpApply, children, children),
+        st.lists(children, min_size=2, max_size=3).map(lambda ps: juxt(*ps)),
+    ),
+    max_leaves=4,
 )
 
 
@@ -125,6 +159,34 @@ class TestHelpers:
 
     def test_ac_canon_nested(self):
         assert print_expr(ac_canon(parse("[b a]i x"))) == "[a b]i x"
+
+    @given(keyed_exprs)
+    def test_canonical_text_is_printed_ac_canon(self, e):
+        assert canonical_text(e) == print_expr(ac_canon(e))
+
+    @given(keyed_exprs, keyed_exprs, st.randoms(use_true_random=False))
+    def test_ac_equal_agrees_with_ac_canon(self, a, b, rnd):
+        for x, y in ((a, b), (a, _shuffled(a, rnd)), (b, _shuffled(a, rnd))):
+            assert ac_equal(x, y) == (ac_canon(x) == ac_canon(y))
+        assert ac_equal(a, _shuffled(a, rnd))
+
+    def test_canonical_text_with_exponent_applications(self):
+        for text in ("X^(b a) [c a]i", "{b a, , [b], a}^([A]k B) A", "[[B A]j^3]^(C)"):
+            e = parse(text)
+            assert canonical_text(e) == print_expr(ac_canon(e))
+
+    def test_juxtaposed_exponent_base_prints_alike_but_is_not_ac_equal(self):
+        built = substitute(parse("X^([]i)"), {"X": parse("a b")})
+        parsed = parse("a b^([]i)")
+        assert canonical_text(built) == canonical_text(parsed) == "a b^([]i)"
+        assert not ac_equal(built, parsed)
+        assert ac_equal(built, substitute(parse("X^([]i)"), {"X": parse("b a")}))
+
+    def test_cached_key_leaves_equality_hash_and_repr_alone(self):
+        e, twin = parse("[b a]i x"), parse("[b a]i x")
+        canonical_text(e)
+        assert e == twin and hash(e) == hash(twin) and repr(e) == repr(twin)
+        assert e != parse("[a b]i x")
 
     def test_free_vars_split(self):
         q, l = free_vars(parse("[A]i {x, , y, } B"))

@@ -85,6 +85,12 @@ class TestCheckEquiv:
         with pytest.raises(BudgetExceeded):
             check_equiv("A B", "")
 
+    @pytest.mark.parametrize("raw", ["abc", "1e6", "16.0"])
+    def test_env_var_budget_must_be_an_integer(self, monkeypatch, raw):
+        monkeypatch.setenv("QCALC_BUDGET", raw)
+        with pytest.raises(ValueError, match="QCALC_BUDGET"):
+            check_equiv("A", "A")
+
     def test_parallel_matches_sequential(self):
         lhs, rhs = "[[A] [B]] C D", "[[A C D] [B C D]]"
         seq = check_equiv(lhs, rhs)
