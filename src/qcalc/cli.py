@@ -50,7 +50,6 @@ from .verifier import (
 class CliConfig:
     format: str = "text"
     budget: int | None = None
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         # QCALC_BUDGET is read even under --budget, so a malformed value is
@@ -60,8 +59,6 @@ class CliConfig:
             self.budget = env_budget
         if self.budget < 16:
             raise ValueError("budget must be at least 16")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
 
 
 def _emit_json(payload) -> None:
@@ -127,9 +124,7 @@ def _cmd_eval(args, cfg: CliConfig) -> int:
 
 def _cmd_equiv(args, cfg: CliConfig) -> int:
     if args.file:
-        report = check_assertions(
-            Path(args.file).read_text(), budget=cfg.budget, jobs=cfg.jobs
-        )
+        report = check_assertions(Path(args.file).read_text(), budget=cfg.budget)
         if cfg.format == "json":
             print(report_to_json_text(report))
         else:
@@ -138,7 +133,7 @@ def _cmd_equiv(args, cfg: CliConfig) -> int:
     if args.assertion is None:
         raise ValueError("equiv needs an \"LHS == RHS\" argument or --file")
     lhs, rhs = parse_assertion(args.assertion)
-    result = check_equiv(lhs, rhs, budget=cfg.budget, jobs=cfg.jobs)
+    result = check_equiv(lhs, rhs, budget=cfg.budget)
     payload = {
         "lhs": print_expr(lhs),
         "rhs": print_expr(rhs),
@@ -312,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="assignment budget for equivalence checks"
         " (default 16^6, or QCALC_BUDGET)",
     )
-    ap.add_argument("--jobs", type=int, default=1, help="parallel workers")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="echo a .qlf file in canonical form")
@@ -375,7 +369,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        cfg = CliConfig(format=args.format, budget=args.budget, jobs=args.jobs)
+        cfg = CliConfig(format=args.format, budget=args.budget)
         if hasattr(args, "n") and args.n < 2:
             raise ValueError("braid arity must be at least 2")
         return args.fn(args, cfg)

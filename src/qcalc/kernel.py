@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Sequence
 
 # An LoF value is a plain bool: True = marked, False = unmarked.
@@ -76,7 +75,6 @@ class QValue:
 
 ALL_QVALUES: tuple[QValue, ...] = tuple(QValue(n) for n in range(16))
 UNMARKED_Q = QValue(0)
-MARKED_Q = QValue(15)
 
 
 class Q8Op(enum.Enum):
@@ -183,12 +181,9 @@ class SignedPerm:
         """Composite that applies self first, then other."""
         if other.arity != self.arity:
             raise ValueError("arity mismatch in composition")
-        target = tuple(self.target[t - 1] for t in other.target)
-        marked = tuple(
-            other.marked[p] ^ self.marked[other.target[p] - 1]
-            for p in range(self.arity)
+        return SignedPerm(
+            *_then_key(self.target, self.marked, other.target, other.marked)
         )
-        return SignedPerm(target, marked)
 
     def inverse(self) -> SignedPerm:
         target = [0] * self.arity
@@ -256,18 +251,6 @@ def op_value(g: Q8Op) -> QValue:
     return q8_apply(g, UNMARKED_Q)
 
 
-def signed_perm_from_op(g: Q8Op) -> SignedPerm:
-    return q8_to_signed_perm(g)
-
-
-def op_from_signed_perm(p: SignedPerm) -> Q8Op | None:
-    """Inverse lookup of q8_to_signed_perm, or None if p is outside the image."""
-    for g, q in _Q8_PERMS.items():
-        if q == p:
-            return g
-    return None
-
-
 def generate_closure(generators: Iterable[SignedPerm]) -> list[SignedPerm]:
     """Close a set of signed permutations under composition."""
     gens = list(generators)
@@ -287,17 +270,29 @@ def generate_closure(generators: Iterable[SignedPerm]) -> list[SignedPerm]:
     return sorted(seen.values(), key=lambda p: (p.target, p.marked))
 
 
+def _then_key(
+    first_target: tuple[int, ...],
+    first_marked: tuple[bool, ...],
+    target: tuple[int, ...],
+    marked: tuple[bool, ...],
+) -> tuple[tuple[int, ...], tuple[bool, ...]]:
+    """(target, marked) of the composite applying the first signed
+    permutation, then the second."""
+    return (
+        tuple([first_target[t - 1] for t in target]),
+        tuple([m ^ first_marked[t - 1] for t, m in zip(target, marked)]),
+    )
+
+
 def cayley_table(elements: Sequence[SignedPerm]) -> list[list[int]]:
-    """Index-valued multiplication table (row applied first, column second)."""
-    index = {(p.target, p.marked): i for i, p in enumerate(elements)}
-    table = []
-    for g in elements:
-        row = []
-        for h in elements:
-            gh = g.then(h)
-            row.append(index[(gh.target, gh.marked)])
-        table.append(row)
-    return table
+    """Index-valued multiplication table (row applied first, column second).
+
+    Products are composed as (target, marked) keys; building a SignedPerm
+    for each of them would validate all n^2 of them again.
+    """
+    keys = [(p.target, p.marked) for p in elements]
+    index = {key: i for i, key in enumerate(keys)}
+    return [[index[_then_key(*g, *h)] for h in keys] for g in keys]
 
 
 def is_isomorphic_to_q8(elements: Sequence[SignedPerm]) -> bool:
@@ -332,7 +327,3 @@ def is_isomorphic_to_q8(elements: Sequence[SignedPerm]) -> bool:
     minus_one = next(i for i in idx if order(i) == 2)
     return all(mul(i, minus_one) == mul(minus_one, i) for i in idx)
 
-
-def q8_relation_facts() -> list[tuple[Q8Op, Q8Op, Q8Op]]:
-    """All 64 composition facts (g, h, g*h) of the operator group."""
-    return [(g, h, q8_mul(g, h)) for g, h in product(Q8Op, Q8Op)]

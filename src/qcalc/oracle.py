@@ -127,11 +127,6 @@ class _SlotTables:
         raise OracleUnsupported(f"not a plain-LoF expression: {print_expr(e)}")
 
 
-def slot_truth_tables(e: Expr, qvars: list[str], lofvars: list[str]):
-    """The four slot truth tables of e over a fixed variable layout."""
-    return _SlotTables(qvars, lofvars).q_slots(e)
-
-
 def equivalent(a: Expr, b: Expr) -> bool:
     """Decide equivalence by comparing the four slot truth tables."""
     qa, la = free_vars(a)

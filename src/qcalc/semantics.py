@@ -155,9 +155,6 @@ def evaluate(e: Expr, env: Env | None = None) -> QValue:
     raise TypeError(f"not an expression: {e!r}")
 
 
-eval_expr = evaluate
-
-
 # ---------------------------------------------------------------------------
 # Logical connectives
 # ---------------------------------------------------------------------------
@@ -356,14 +353,6 @@ def slot_routes(e: Expr) -> dict[str, set[tuple[int, int]]]:
     per variable through which evaluation can route a slot of that
     variable's value.  Exponent applications must have closed exponents.
     """
-    routes: dict[str, set[tuple[int, int]]] = {}
-
-    def merge(sub: dict[str, set[tuple[int, int]]], perm) -> None:
-        inv = perm.inverse()
-        for name, pairs in sub.items():
-            routes.setdefault(name, set()).update(
-                (src, inv.target[dst - 1]) for src, dst in pairs
-            )
 
     def walk(x: Expr) -> dict[str, set[tuple[int, int]]]:
         if isinstance(x, Var):
@@ -389,8 +378,7 @@ def slot_routes(e: Expr) -> dict[str, set[tuple[int, int]]]:
             return _route_through(walk(x.base), g)
         raise EvalError("slot routing needs a tuple-free expression")
 
-    routes = walk(e)
-    return routes
+    return walk(e)
 
 
 def _route_through(sub: dict[str, set[tuple[int, int]]], g: Q8Op):

@@ -8,27 +8,34 @@ operators act slot-wise, so this enumeration is the same thing as a truth
 table over the underlying two-state variables; the independent oracle in
 ``qcalc.oracle`` checks that claim from the other side.
 
-The enumeration is vectorized: a value per assignment is one byte lane of
-a big integer, marks are byte-translation tables and juxtaposition is
-bitwise or.  The per-assignment semantics is exactly ``semantics.evaluate``
-(property-tested against it).
+The enumeration is bit-sliced (Biham, FSE 1997): a value under every
+assignment is four bit-planes with one bit per assignment.  A mark moves
+and complements planes as its signed permutation in ``kernel`` says,
+juxtaposition is plane-wise or, and an exponent application selects, per
+assignment, one of the eight operator actions.  The per-assignment
+semantics is exactly ``semantics.evaluate`` (property-tested against it).
 """
 
 from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Mapping
 
-from .kernel import ALL_QVALUES, Q8Op, QValue, op_value, q8_apply, q8_mul, q8_power
+from .kernel import (
+    ALL_QVALUES,
+    Q8Op,
+    QValue,
+    op_value,
+    q8_apply,
+    q8_mul,
+    q8_power,
+    q8_to_signed_perm,
+)
 from .semantics import (
     ALL_BFVALUES,
     CONNECTIVES,
-    OP_BY_VALUE_BITS,
-    BadExponentValue,
     apply_op,
     bf_apply,
     connective,
@@ -87,165 +94,141 @@ class EquivResult:
 
 
 def _var_spec(exprs: Iterable[Expr]) -> tuple[tuple[str, int], ...]:
-    qvars: set[str] = set()
-    lofvars: set[str] = set()
-    for e in exprs:
-        q, l = free_vars(e)
-        qvars |= q
-        lofvars |= l
-    both = qvars & lofvars
-    if both:
-        raise ValueError(
-            f"variables used both inside and outside tuple slots: {sorted(both)}"
-        )
+    """(name, number of values) of every free variable, sorted by name."""
+    qvars, lofvars = free_vars(Juxt(tuple(exprs)))
     return tuple(
         (name, 16 if name in qvars else 2) for name in sorted(qvars | lofvars)
     )
 
 
-def _radices(spec: tuple[tuple[str, int], ...]) -> list[int]:
-    """Stride of each variable; the first (sorted) variable is most
-    significant, so assignment index 0 is the all-smallest assignment."""
-    radices = [1] * len(spec)
-    for t in range(len(spec) - 2, -1, -1):
-        radices[t] = radices[t + 1] * spec[t + 1][1]
-    return radices
-
-
-def _decode_assignment(
-    spec: tuple[tuple[str, int], ...], idx: int
-) -> dict[str, QValue | bool]:
-    radices = _radices(spec)
-    env: dict[str, QValue | bool] = {}
-    for (name, dom), r in zip(spec, radices):
-        digit = (idx // r) % dom
-        env[name] = QValue(digit) if dom == 16 else bool(digit)
-    return env
-
-
-def _pattern_range(dom: int, radix: int, start: int, end: int) -> bytes:
-    """Byte lanes of one variable's value for assignment indices [start, end)."""
-    base = b"".join(bytes([v]) * radix for v in range(dom))
-    period = len(base)
-    offset = start % period
-    reps = (offset + (end - start) + period - 1) // period
-    return (base * reps)[offset : offset + (end - start)]
-
-
-# Byte-translation tables for each operator-group element.
-_OP_TABLES: dict[Q8Op, bytes] = {
-    g: bytes(q8_apply(g, QValue(b & 15)).bits for b in range(256))
-    for g in Q8Op
-}
 _SUB_OPS = {"": Q8Op.M1, "i": Q8Op.I, "j": Q8Op.J, "k": Q8Op.K}
 
 
-class _NotVectorizable(Exception):
-    pass
+# Rows per block, as a power of two.  A plane of 2^18 bits (32 KiB) stays
+# in cache and its memory is reused; at 16^6 rows a whole-range plane is
+# 2 MiB, and fresh pages for it cost more than the bitwise work.
+_BLOCK_BITS = 18
 
 
-class _VectorEval:
-    """Evaluate an expression over a contiguous range of assignments,
-    one byte lane per assignment."""
+class _Planes:
+    """Bit-sliced evaluation under every assignment of a block at once.
 
-    def __init__(self, spec, start: int, end: int) -> None:
-        self.n = end - start
-        radices = _radices(spec)
-        self.kinds = dict(spec)
-        self.vectors = {
-            name: int.from_bytes(
-                _pattern_range(dom, r, start, end), "little"
-            )
-            for (name, dom), r in zip(spec, radices)
-        }
-        self.ones = int.from_bytes(b"\x01" * self.n, "little")
+    A value is four bit-planes, slots a to d; bit r of a plane is the
+    slot's state in row r of the block, and row r of the block starting at
+    ``start`` is assignment index start + r.  Each variable owns a field of
+    the row index, the first sorted variable the most significant: four
+    bits for a tuple variable, its value's bits with slot a highest, and
+    one bit for a slot variable.
+    """
 
-    def _translate(self, vec: int, g: Q8Op) -> int:
-        data = vec.to_bytes(self.n, "little").translate(_OP_TABLES[g])
-        return int.from_bytes(data, "little")
+    def __init__(self, spec: tuple[tuple[str, int], ...]) -> None:
+        self.spec = spec
+        self.offset: dict[str, int] = {}
+        bits = 0
+        for name, dom in reversed(spec):
+            self.offset[name] = bits
+            bits += dom.bit_length() - 1
+        self.low = min(bits, _BLOCK_BITS)
+        self.rows = 1 << self.low
+        self.full = (1 << self.rows) - 1
+        # masks[k] is the set of rows whose index has bit k set.  Within a
+        # block each is derived from the next one up,
+        # x_k = x_(k+1) ^ (x_(k+1) >> 2^k); above the block size it is
+        # all rows or none, set by `start_block`.
+        self.masks = [0] * bits
+        m = self.full ^ ((1 << (self.rows >> 1)) - 1)
+        for k in reversed(range(self.low)):
+            self.masks[k] = m
+            m ^= m >> (1 << k >> 1)
+        self.bad = 0
 
-    def q_vector(self, e: Expr) -> int:
+    def start_block(self, start: int) -> None:
+        for k in range(self.low, len(self.masks)):
+            self.masks[k] = self.full if (start >> k) & 1 else 0
+        # Rows where an exponent is not an operator value.
+        self.bad = 0
+
+    def assignment(self, row: int) -> dict[str, QValue | bool]:
+        env: dict[str, QValue | bool] = {}
+        for name, dom in self.spec:
+            digit = (row >> self.offset[name]) & (dom - 1)
+            env[name] = QValue(digit) if dom == 16 else bool(digit)
+        return env
+
+    def route(self, g: Q8Op, planes: tuple[int, ...]) -> tuple[int, ...]:
+        """The operator g on planes, read off its signed permutation."""
+        perm = q8_to_signed_perm(g)
+        return tuple(
+            planes[t - 1] ^ self.full if m else planes[t - 1]
+            for t, m in zip(perm.target, perm.marked)
+        )
+
+    def value(self, e: Expr) -> tuple[int, ...]:
         if isinstance(e, Void):
-            return 0
+            return (0, 0, 0, 0)
         if isinstance(e, Var):
-            if self.kinds[e.name] != 16:
-                raise ValueError(f"slot variable {e.name!r} used at tuple level")
-            return self.vectors[e.name]
+            base = self.offset[e.name]
+            return tuple(self.masks[base + 3 - s] for s in range(4))
         if isinstance(e, Mark):
-            return self._translate(self.q_vector(e.body), _SUB_OPS[e.sub])
+            return self.route(_SUB_OPS[e.sub], self.value(e.body))
         if isinstance(e, Power):
             g = q8_power(_SUB_OPS[e.sub], e.exponent)
-            return self._translate(self.q_vector(e.body), g)
+            return self.route(g, self.value(e.body))
         if isinstance(e, Juxt):
-            out = 0
-            for p in e.parts:
-                out |= self.q_vector(p)
-            return out
+            out = list(self.value(e.parts[0]))
+            for p in e.parts[1:]:
+                for s, plane in enumerate(self.value(p)):
+                    out[s] |= plane
+            return tuple(out)
         if isinstance(e, Tuple4):
-            a, b, c, d = (self.lof_vector(s) for s in e.slots)
-            return (a << 3) | (b << 2) | (c << 1) | d
+            return tuple(self.slot(s) for s in e.slots)
         if isinstance(e, ExpApply):
-            q, l = free_vars(e.exponent)
-            if q or l:
-                raise _NotVectorizable("open exponent application")
-            g = OP_BY_VALUE_BITS.get(evaluate(e.exponent, {}).bits)
-            if g is None:
-                raise BadExponentValue(evaluate(e.exponent, {}))
-            return self._translate(self.q_vector(e.base), g)
+            # An 8-way multiplexer: the rows where the exponent is the
+            # value of g take the base routed by g.
+            exp = self.value(e.exponent)
+            base = self.value(e.base)
+            inverted = tuple(self.full ^ p for p in exp)
+            out = [0, 0, 0, 0]
+            covered = 0
+            for g in Q8Op:
+                sel = self.full
+                for p, q, bit in zip(exp, inverted, op_value(g).slots):
+                    sel &= p if bit else q
+                if sel:
+                    covered |= sel
+                    for s, plane in enumerate(self.route(g, base)):
+                        out[s] |= plane & sel
+            self.bad |= self.full ^ covered
+            return tuple(out)
         raise TypeError(f"not an expression: {e!r}")
 
-    def lof_vector(self, e: Expr) -> int:
+    def slot(self, e: Expr) -> int:
         if isinstance(e, Void):
             return 0
         if isinstance(e, Var):
-            if self.kinds[e.name] != 2:
-                raise ValueError(f"tuple variable {e.name!r} used inside a slot")
-            return self.vectors[e.name]
+            return self.masks[self.offset[e.name]]
         if isinstance(e, Mark):
-            return self.lof_vector(e.body) ^ self.ones
+            return self.full ^ self.slot(e.body)
         if isinstance(e, Juxt):
-            out = 0
-            for p in e.parts:
-                out |= self.lof_vector(p)
+            out = self.slot(e.parts[0])
+            for p in e.parts[1:]:
+                out |= self.slot(p)
             return out
         raise TypeError(f"not a plain-LoF expression: {print_expr(e)}")
-
-
-def _first_difference(spec, a: Expr, b: Expr, start: int, end: int) -> int | None:
-    """Smallest assignment index in [start, end) where a and b differ."""
-    ev = _VectorEval(spec, start, end)
-    diff = ev.q_vector(a) ^ ev.q_vector(b)
-    if diff == 0:
-        return None
-    lowest_bit = (diff & -diff).bit_length() - 1
-    return start + lowest_bit // 8
-
-
-def _first_difference_text(args) -> int | None:
-    a_text, b_text, spec, start, end = args
-    return _first_difference(spec, parse(a_text), parse(b_text), start, end)
-
-
-def _first_difference_scalar(spec, a: Expr, b: Expr) -> int | None:
-    for idx, values in enumerate(product(*(range(dom) for _, dom in spec))):
-        env = {
-            name: (QValue(v) if dom == 16 else bool(v))
-            for (name, dom), v in zip(spec, values)
-        }
-        if evaluate(a, env) != evaluate(b, env):
-            return idx
-    return None
 
 
 def check_equiv(
     a: Expr | str,
     b: Expr | str,
     budget: int | None = None,
-    jobs: int = 1,
 ) -> EquivResult:
     """Decide equivalence over every assignment to the shared free
     variables; on failure return the first counterexample in enumeration
-    order (names sorted, values ascending)."""
+    order (names sorted, values ascending).
+
+    An exponent that is not an operator value raises BadExponentValue, as
+    ``semantics.evaluate`` does, if it occurs before the first difference.
+    """
     if isinstance(a, str):
         a = parse(a)
     if isinstance(b, str):
@@ -258,24 +241,25 @@ def check_equiv(
     if count > limit:
         raise BudgetExceeded(len(spec), count, limit)
 
-    try:
-        if jobs > 1 and count >= 1 << 16:
-            chunk = -(-count // jobs)
-            tasks = [
-                (print_expr(a), print_expr(b), spec, lo, min(lo + chunk, count))
-                for lo in range(0, count, chunk)
-            ]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                hits = [h for h in pool.map(_first_difference_text, tasks) if h is not None]
-            first = min(hits) if hits else None
-        else:
-            first = _first_difference(spec, a, b, 0, count)
-    except _NotVectorizable:
-        first = _first_difference_scalar(spec, a, b)
-
-    if first is None:
-        return EquivResult(True, None, count)
-    return EquivResult(False, _decode_assignment(spec, first), first + 1)
+    planes = _Planes(spec)
+    for start in range(0, count, planes.rows):
+        planes.start_block(start)
+        diff = 0
+        for x, y in zip(planes.value(a), planes.value(b)):
+            diff |= x ^ y
+        hits = diff | planes.bad
+        if hits == 0:
+            continue
+        row = (hits & -hits).bit_length() - 1
+        env = planes.assignment(start + row)
+        if (planes.bad >> row) & 1:
+            # evaluate raises here, with the error the scalar semantics
+            # give this assignment.
+            evaluate(a, env)
+            evaluate(b, env)
+            raise AssertionError(f"row {start + row} has a bad exponent but evaluates")
+        return EquivResult(False, env, start + row + 1)
+    return EquivResult(True, None, count)
 
 
 def env_patterns(env: Mapping[str, QValue | bool] | None) -> dict[str, str] | None:
@@ -707,13 +691,13 @@ class AssertionReport:
         return "\n".join(lines) if lines else "  (no assertions)"
 
 
-def check_assertions(text: str, budget: int | None = None, jobs: int = 1) -> AssertionReport:
+def check_assertions(text: str, budget: int | None = None) -> AssertionReport:
     """Check every `LHS == RHS` line of a .qlf file body."""
     checks = []
     for line in parse_qlf(text):
         if line.rhs is None:
             continue
-        res = check_equiv(line.lhs, line.rhs, budget=budget, jobs=jobs)
+        res = check_equiv(line.lhs, line.rhs, budget=budget)
         checks.append(
             LawCheck(
                 f"L{line.lineno}",

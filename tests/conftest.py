@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from qcalc.kernel import ALL_QVALUES, Q8Op
 from qcalc.textio import (
     VOID,
+    ExpApply,
     Expr,
     Var,
     juxt,
@@ -49,6 +50,18 @@ q_exprs = st.recursive(
         ),
     ),
     max_leaves=8,
+)
+
+# q_exprs builds no exponent application; these terms add them over any
+# base, including the juxtaposed bases that only substitution produces, and
+# with closed and open exponents.
+exp_exprs = st.recursive(
+    q_exprs,
+    lambda children: st.one_of(
+        st.builds(ExpApply, children, children),
+        st.lists(children, min_size=2, max_size=3).map(lambda ps: juxt(*ps)),
+    ),
+    max_leaves=4,
 )
 
 full_envs = st.fixed_dictionaries(

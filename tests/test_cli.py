@@ -42,6 +42,13 @@ class TestEquiv:
         assert code == 2
         assert "budget" in err
 
+    def test_jobs_flag_is_gone(self, capsys):
+        code, out, err = run(capsys, "--jobs", "2", "equiv", "A == A")
+        assert code == 2
+        assert out == ""
+        assert "usage: qcalc" in err
+        assert "--jobs" not in run(capsys, "--help")[1]
+
     def test_budget_must_be_at_least_sixteen(self, capsys):
         code, _, err = run(capsys, "--budget", "8", "equiv", "A == A")
         assert code == 2

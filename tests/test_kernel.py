@@ -123,6 +123,23 @@ class TestSignedPerm:
         table = cayley_table(elems)
         assert sorted(table[0]) == list(range(8))
 
+    @pytest.mark.parametrize("source", ["q8", "braid"])
+    def test_cayley_table_matches_then(self, source):
+        # The table composes (target, marked) keys directly; SignedPerm.then
+        # is the reference.
+        from qcalc.braid import quaternion_closure
+
+        if source == "q8":
+            elems = [q8_to_signed_perm(g) for g in Q8Op]
+        else:
+            elems = quaternion_closure()
+        index = {(p.target, p.marked): i for i, p in enumerate(elems)}
+        want = [
+            [index[(g.then(h).target, g.then(h).marked)] for h in elems]
+            for g in elems
+        ]
+        assert cayley_table(elems) == want
+
 
 class TestOpValue:
     def test_empty_marks(self):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import q_exprs, random_q_expr
+from conftest import exp_exprs, q_exprs, random_q_expr
 from qcalc.textio import (
     ExpApply,
     Juxt,
@@ -18,7 +18,6 @@ from qcalc.textio import (
     ac_equal,
     canonical_text,
     free_vars,
-    juxt,
     parse,
     parse_assertion,
     parse_qlf,
@@ -42,18 +41,6 @@ def _shuffled(e, rnd: random.Random):
     if isinstance(e, ExpApply):
         return ExpApply(_shuffled(e.base, rnd), _shuffled(e.exponent, rnd))
     return e
-
-
-# q_exprs builds no exponent application; these terms add them over any
-# base, including the juxtaposed bases that only substitution produces.
-keyed_exprs = st.recursive(
-    q_exprs,
-    lambda children: st.one_of(
-        st.builds(ExpApply, children, children),
-        st.lists(children, min_size=2, max_size=3).map(lambda ps: juxt(*ps)),
-    ),
-    max_leaves=4,
-)
 
 
 class TestParse:
@@ -160,11 +147,11 @@ class TestHelpers:
     def test_ac_canon_nested(self):
         assert print_expr(ac_canon(parse("[b a]i x"))) == "[a b]i x"
 
-    @given(keyed_exprs)
+    @given(exp_exprs)
     def test_canonical_text_is_printed_ac_canon(self, e):
         assert canonical_text(e) == print_expr(ac_canon(e))
 
-    @given(keyed_exprs, keyed_exprs, st.randoms(use_true_random=False))
+    @given(exp_exprs, exp_exprs, st.randoms(use_true_random=False))
     def test_ac_equal_agrees_with_ac_canon(self, a, b, rnd):
         for x, y in ((a, b), (a, _shuffled(a, rnd)), (b, _shuffled(a, rnd))):
             assert ac_equal(x, y) == (ac_canon(x) == ac_canon(y))

@@ -1,15 +1,21 @@
 import json
-import random
+import subprocess
+import sys
+from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import full_envs, q_exprs, random_expr_pair
-from qcalc import oracle
+from conftest import Q_VARS, exp_exprs, full_envs, q_exprs, random_expr_pair
+from qcalc import oracle, verifier
 from qcalc.kernel import Q8Op, QValue, op_value
-from qcalc.semantics import evaluate
-from qcalc.textio import parse, print_expr
+from qcalc.semantics import BadExponentValue, evaluate
+from qcalc.textio import parse, print_expr, substitute
 from qcalc.verifier import (
+    _Planes,
+    _var_spec,
     ALPHAS,
     BudgetExceeded,
     appendix_b_laws,
@@ -21,6 +27,37 @@ from qcalc.verifier import (
     run_law_suite,
     distribution_demos,
 )
+
+
+def _count(spec) -> int:
+    count = 1
+    for _, dom in spec:
+        count *= dom
+    return count
+
+
+def _scalar_first_difference(spec, a, b):
+    """The reference enumeration: evaluate both sides under each assignment
+    in order.  Returns (index, assignment) of the first difference or None,
+    and raises what evaluate raises at an earlier row."""
+    for idx, values in enumerate(product(*(range(dom) for _, dom in spec))):
+        env = {
+            name: (QValue(v) if dom == 16 else bool(v))
+            for (name, dom), v in zip(spec, values)
+        }
+        if evaluate(a, env) != evaluate(b, env):
+            return idx, env
+    return None
+
+
+def test_import_starts_no_process_machinery():
+    code = (
+        "import qcalc, sys; "
+        "loaded = {'concurrent.futures', 'multiprocessing'} & set(sys.modules); "
+        "assert not loaded, loaded"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestCheckEquiv:
@@ -91,42 +128,75 @@ class TestCheckEquiv:
         with pytest.raises(ValueError, match="QCALC_BUDGET"):
             check_equiv("A", "A")
 
-    def test_parallel_matches_sequential(self):
-        lhs, rhs = "[[A] [B]] C D", "[[A C D] [B C D]]"
-        seq = check_equiv(lhs, rhs)
-        par = check_equiv(lhs, rhs, jobs=2)
-        assert (seq.equivalent, seq.counterexample) == (par.equivalent, par.counterexample)
-        bad_seq = check_equiv("A B C D", "A B C")
-        bad_par = check_equiv("A B C D", "A B C", jobs=3)
-        assert bad_seq.counterexample == bad_par.counterexample
-        assert bad_seq.assignments_checked == bad_par.assignments_checked
+    def test_budget_boundary_is_sixteen_to_the_sixth(self):
+        six = "A B C D E F"
+        assert check_equiv(six, "F E D C B A").assignments_checked == 16 ** 6
+        with pytest.raises(BudgetExceeded) as exc:
+            check_equiv(f"{six} {{a, , , }}", six)
+        assert exc.value.required == 2 * 16 ** 6
 
-    @given(q_exprs, full_envs)
-    @settings(max_examples=150)
-    def test_vector_path_agrees_with_evaluate(self, e, env):
-        # The vectorized enumerator must implement exactly the same
-        # semantics as single-assignment evaluation.
-        from qcalc.verifier import _VectorEval, _decode_assignment, _var_spec
+    @given(exp_exprs, st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_planes_agree_with_evaluate(self, e, rnd):
+        # Each row of the bit-sliced value is the value evaluate gives for
+        # that row's assignment, and the bad rows are exactly those where
+        # evaluate raises BadExponentValue.  Every row is checked up to 256
+        # rows, a sample of 128 above.
+        planes = _Planes(_var_spec((e,)))
+        value = planes.value(e)
+        rows = range(planes.rows)
+        if planes.rows > 256:
+            rows = rnd.sample(rows, 128)
+        for row in rows:
+            env = planes.assignment(row)
+            bits = sum(((p >> row) & 1) << (3 - s) for s, p in enumerate(value))
+            try:
+                want = evaluate(e, env)
+            except BadExponentValue:
+                assert (planes.bad >> row) & 1
+            else:
+                assert not (planes.bad >> row) & 1
+                assert bits == want.bits
 
-        spec = _var_spec((e,))
-        count = 1
-        for _, dom in spec:
-            count *= dom
-        if count > 4096:
+    @pytest.mark.parametrize("block_bits", [verifier._BLOCK_BITS, 3])
+    @given(exp_exprs, exp_exprs, st.sampled_from(Q_VARS), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_check_equiv_matches_scalar_loop(self, block_bits, a, c, name, related):
+        # Block sizes below the row count check the block-by-block search.
+        b = substitute(a, {name: c}) if related else c
+        spec = _var_spec((a, b))
+        if _count(spec) > 4096:
             return
-        ev = _VectorEval(spec, 0, count)
-        vec = ev.q_vector(e).to_bytes(count, "little")
-        idx = random.Random(17).randrange(count)
-        env2 = _decode_assignment(spec, idx)
-        assert vec[idx] == evaluate(e, env2).bits
+        with mock.patch.object(verifier, "_BLOCK_BITS", block_bits):
+            try:
+                first = _scalar_first_difference(spec, a, b)
+            except BadExponentValue as err:
+                with pytest.raises(BadExponentValue) as got:
+                    check_equiv(a, b)
+                assert got.value.value == err.value
+                return
+            res = check_equiv(a, b)
+        if first is None:
+            assert (res.equivalent, res.counterexample) == (True, None)
+            assert res.assignments_checked == _count(spec)
+        else:
+            idx, env = first
+            assert (res.equivalent, res.counterexample) == (False, env)
+            assert res.assignments_checked == idx + 1
 
-    def test_pattern_range_slicing(self):
-        # Chunked enumeration sees exactly the slice of the full pattern.
-        from qcalc.verifier import _pattern_range
+    def test_difference_before_first_bad_row(self):
+        # Rows run A, B, a: A = UUUU (rows 0-31) is the identity
+        # exponent and A = UUUM (from row 32) is not an operator value; the
+        # sides differ first at row 1, where a is marked.
+        res = check_equiv("B^(A)", "B^(A) {a, , , }")
+        assert not res.equivalent
+        assert res.counterexample == {"A": QValue(0), "B": QValue(0), "a": True}
+        assert res.assignments_checked == 2
 
-        full = _pattern_range(16, 3, 0, 16 * 3 * 2)
-        for lo, hi in ((0, 5), (7, 31), (31, 96), (40, 41)):
-            assert _pattern_range(16, 3, lo, hi) == full[lo:hi]
+    def test_bad_row_before_any_difference(self):
+        with pytest.raises(BadExponentValue) as exc:
+            check_equiv("B^(A)", "B")
+        assert exc.value.value == QValue(1)
 
     @given(q_exprs, full_envs)
     @settings(max_examples=100)
@@ -137,8 +207,7 @@ class TestCheckEquiv:
 
     def test_open_exponent_falls_back_to_scalar(self):
         # [Y] Y is all-marked for every Y, an operator value, so the
-        # exponent is open but always defined; this exercises the
-        # per-assignment fallback path.
+        # exponent is open but defined in every row.
         res = check_equiv("X^([Y] Y)", "[X]")
         assert res.equivalent
         assert res.assignments_checked == 256
