@@ -26,6 +26,10 @@ from .kernel import (
 )
 from .textio import mark as mark_expr
 
+# The largest strand count the CLI and `verify_braid_relations` accept by
+# default; the library functions themselves take any arity.
+MAX_STRANDS = 8
+
 
 @dataclass(frozen=True)
 class BraidGen:
@@ -197,7 +201,7 @@ class BraidRelationReport:
         return "\n".join(lines)
 
 
-def verify_braid_relations(n: int, limit: int = 8) -> BraidRelationReport:
+def verify_braid_relations(n: int, limit: int = MAX_STRANDS) -> BraidRelationReport:
     """Check, as signed-permutation identities: far commutation, the
     adjacent braid relation (in both the positive and the inverse form),
     and that every generator has order four.  The arity is capped by

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .braid import (
-    BraidWord,
+    MAX_STRANDS,
     braid_diagram,
     braid_to_signed_perm,
     parse_braid_word,
@@ -31,7 +31,7 @@ from .constructor import (
 from .kernel import Q8Op, QValue, q8_mul
 from .rewrite import Derivation, check_derivation
 from .semantics import EvalError, evaluate
-from .textio import ParseError, parse, parse_assertion, parse_qlf, print_expr, substitute
+from .textio import ParseError, parse, parse_assertion, parse_qlf, print_expr
 from .verifier import (
     BudgetExceeded,
     SUITES,
@@ -199,12 +199,8 @@ def _cmd_group_table(args, cfg: CliConfig) -> int:
     return 0
 
 
-def _braid_word(args) -> BraidWord:
-    return parse_braid_word(args.word, args.n)
-
-
 def _cmd_braid_compose(args, cfg: CliConfig) -> int:
-    word = _braid_word(args)
+    word = parse_braid_word(args.word, args.n)
     perm = braid_to_signed_perm(word)
     if cfg.format == "json":
         _emit_json(
@@ -230,7 +226,7 @@ def _cmd_braid_verify(args, cfg: CliConfig) -> int:
 
 
 def _cmd_braid_diagram(args, cfg: CliConfig) -> int:
-    word = _braid_word(args)
+    word = parse_braid_word(args.word, args.n)
     print(braid_diagram(word))
     return 0
 
@@ -270,12 +266,8 @@ def _cmd_construct(args, cfg: CliConfig) -> int:
     if args.kind == "mark-slot":
         slot = int(args.arg)
         expr = mark_slot(slot)
-        spec = ["a", "b", "c", "d"]
-        spec[slot - 1] = f"[{spec[slot - 1]}]"
-        target = parse("{" + ", ".join(spec) + "}")
-        result = check_equiv(
-            substitute(expr, {"X": parse("{a, b, c, d}")}), target
-        )
+        marks = tuple(s == slot for s in (1, 2, 3, 4))
+        result = verify_construction(expr, SlotPermutation((1, 2, 3, 4), marks))
     else:
         p = _parse_perm(args.arg)
         expr = permute_expr(p)
@@ -370,8 +362,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         cfg = CliConfig(format=args.format, budget=args.budget)
-        if hasattr(args, "n") and args.n < 2:
-            raise ValueError("braid arity must be at least 2")
+        if hasattr(args, "n") and not 2 <= args.n <= MAX_STRANDS:
+            raise ValueError(f"braid arity must be between 2 and {MAX_STRANDS}")
         return args.fn(args, cfg)
     except ParseError as err:
         print(

@@ -22,12 +22,14 @@ from .textio import (
     Expr,
     Mark,
     Power,
+    Tuple4,
     Var,
     juxt,
     mark,
     parse,
     substitute,
 )
+from .verifier import check_equiv
 
 # Interference patterns: juxtapositions of empty marks that block every
 # slot except one.
@@ -114,7 +116,7 @@ class SlotPermutation:
             if m:
                 slot = mark(slot)
             slots.append(slot)
-        return _tuple_of(slots)
+        return Tuple4(tuple(slots))
 
     def compose(self, inner: "SlotPermutation") -> "SlotPermutation":
         """The permutation acting as inner first, then self."""
@@ -123,12 +125,6 @@ class SlotPermutation:
             m ^ inner.marks[s - 1] for s, m in zip(self.source, self.marks)
         )
         return SlotPermutation(source, marks)
-
-
-def _tuple_of(slots):
-    from .textio import Tuple4
-
-    return Tuple4(tuple(slots))
 
 
 def _selector_factor(target: int, source: int, marked: bool, x: Expr) -> Expr:
@@ -168,7 +164,5 @@ def permute_expr(p: SlotPermutation | Sequence[int], var: str = "X") -> Expr:
 def verify_construction(e: Expr, p: SlotPermutation, var: str = "X"):
     """check_equiv the construction against its tuple-literal spec with
     the free variable instantiated to the generic tuple."""
-    from .verifier import check_equiv
-
     generic = parse("{a, b, c, d}")
     return check_equiv(substitute(e, {var: generic}), p.spec_tuple())

@@ -18,10 +18,11 @@ from .rewrite import (
     Derivation,
     Step,
     _normalize_subst,
+    addressed_children,
     apply_rule,
     find_applications,
 )
-from .textio import Expr, Var, ac_equal, parse, print_expr
+from .textio import Expr, Juxt, Var, ac_equal, parse, print_expr
 from .semantics import connective
 
 
@@ -45,9 +46,6 @@ class _Script:
         hits = find_applications(self.current, rule, direction, subst, params)
         if inside is not None:
             # Restrict to one stored child of the top-level juxtaposition.
-            from .rewrite import addressed_children
-            from .textio import Juxt
-
             assert isinstance(self.current, Juxt), self.name
             addr = next(
                 i

@@ -207,9 +207,6 @@ class SignedPerm:
             raise ValueError("apply_q needs arity 4")
         return QValue.from_slots(*self.apply(v.slots))
 
-    def unsigned(self) -> tuple[int, ...]:
-        return self.target
-
     def __repr__(self) -> str:
         body = ", ".join(
             f"{p + 1}<-{'[' if self.marked[p] else ''}{self.target[p]}{']' if self.marked[p] else ''}"
@@ -232,6 +229,15 @@ _Q8_PERMS: dict[Q8Op, SignedPerm] = {
 }
 
 
+# The operator of each mark subscript; "" is the plain mark.
+MARK_OPS: dict[str, Q8Op] = {"": Q8Op.M1, "i": Q8Op.I, "j": Q8Op.J, "k": Q8Op.K}
+
+# The action of each operator on the 16 values, indexed by value bits.
+_Q8_ACTIONS: dict[Q8Op, tuple[QValue, ...]] = {
+    g: tuple(perm.apply_q(v) for v in ALL_QVALUES) for g, perm in _Q8_PERMS.items()
+}
+
+
 def q8_to_signed_perm(g: Q8Op) -> SignedPerm:
     """The arity-4 signed permutation whose action equals the operator g."""
     return _Q8_PERMS[g]
@@ -239,7 +245,7 @@ def q8_to_signed_perm(g: Q8Op) -> SignedPerm:
 
 def q8_apply(g: Q8Op, v: QValue) -> QValue:
     """Apply an operator-group element to a value."""
-    return q8_to_signed_perm(g).apply_q(v)
+    return _Q8_ACTIONS[g][v.bits]
 
 
 def op_value(g: Q8Op) -> QValue:
@@ -248,7 +254,16 @@ def op_value(g: Q8Op) -> QValue:
     The eight results are pairwise distinct, e.g. the empty i-mark is
     (marked, unmarked, unmarked, marked).
     """
-    return q8_apply(g, UNMARKED_Q)
+    return _Q8_ACTIONS[g][UNMARKED_Q.bits]
+
+
+_OP_OF_BITS = {op_value(g).bits: g for g in Q8Op}
+
+
+def op_of_value(v: QValue) -> Q8Op | None:
+    """The operator whose empty mark has value v, or None if v is none of
+    the eight operator values."""
+    return _OP_OF_BITS.get(v.bits)
 
 
 def generate_closure(generators: Iterable[SignedPerm]) -> list[SignedPerm]:

@@ -27,8 +27,9 @@ from itertools import product as iproduct
 from typing import Callable, Mapping, Sequence
 
 from .constructor import op_form
-from .kernel import Q8Op, q8_mul, q8_power
+from .kernel import MARK_OPS, q8_mul, q8_power
 from .textio import (
+    VOID,
     Expr,
     ExpApply,
     Juxt,
@@ -46,9 +47,13 @@ from .textio import (
     print_expr,
     substitute,
 )
-from .verifier import check_equiv
-
-ALPHAS = ("i", "j", "k")
+from .verifier import (
+    ALPHAS,
+    APPENDIX_A_LAWS,
+    APPENDIX_B_LAWS,
+    COMPILE_LAWS,
+    check_equiv,
+)
 
 
 class RewriteError(Exception):
@@ -86,7 +91,6 @@ class Rule:
     """An oriented rewrite law with optional mark/exponent parameters."""
 
     id: str
-    label: str
     params: tuple[str, ...]
     lhs: Callable[[Mapping[str, object]], Expr]
     rhs: Callable[[Mapping[str, object]], Expr]
@@ -110,12 +114,7 @@ class Rule:
                         f"parameter {name}={value!r} must be an integer in 1..3"
                     )
             out[name] = value
-        if (
-            "alpha" in self.params
-            and "beta" in self.params
-            and self.id == "Q5-AntiCommutes"
-            and out["alpha"] == out["beta"]
-        ):
+        if self.id == "Q5-AntiCommutes" and out["alpha"] == out["beta"]:
             raise SideConditionViolation("anti-commutation needs alpha != beta")
         extra = set(params) - set(self.params)
         if extra:
@@ -145,8 +144,8 @@ class Rule:
         return self.lhs(p), self.rhs(p)
 
 
-def _static(text: str) -> Callable[[Mapping[str, object]], Expr]:
-    expr = parse(text)
+def _static(side: Expr | str) -> Callable[[Mapping[str, object]], Expr]:
+    expr = parse(side) if isinstance(side, str) else side
     return lambda params: expr
 
 
@@ -165,127 +164,63 @@ def _qcomp_lhs(params: Mapping[str, object]) -> Expr:
 
 def _qcomp_rhs(params: Mapping[str, object]) -> Expr:
     g = q8_mul(
-        q8_power(_AXIS_OPS[str(params["alpha"])], int(params["m"])),
-        q8_power(_AXIS_OPS[str(params["beta"])], int(params["n"])),
+        q8_power(MARK_OPS[str(params["alpha"])], int(params["m"])),
+        q8_power(MARK_OPS[str(params["beta"])], int(params["n"])),
     )
     return op_form(g, Var("A"))
 
 
-_AXIS_OPS = {"i": Q8Op.I, "j": Q8Op.J, "k": Q8Op.K}
-
-
-def _rule(rule_id: str, label: str, lhs: str, rhs: str, params: tuple[str, ...] = ()) -> Rule:
+def _rule(
+    rule_id: str, lhs: str, rhs: Expr | str, params: tuple[str, ...] = ()
+) -> Rule:
     build = _templated if params else _static
-    return Rule(rule_id, label, params, build(lhs), build(rhs))
+    return Rule(rule_id, params, build(lhs), build(rhs))
 
 
 _RULE_LIST: list[Rule] = [
-    # The ten initials and consequences shared with the plain calculus.
-    _rule("A1-Position", "Position", "[[A] A]", ""),
-    _rule("A2-Transposition", "Transposition", "[[A] [B]] C", "[[A C] [B C]]"),
-    _rule("A3-Reflexion", "Reflexion", "[[A]]", "A"),
-    _rule("A4-Generation", "Generation", "[A] B", "[A B] B"),
-    _rule("A5-Integration", "Integration", "A []", "[]"),
-    _rule("A6-Occultation", "Occultation", "[[A] B] A", "A"),
-    _rule("A7-Iteration", "Iteration", "A A", "A"),
-    _rule("A8-Extension", "Extension", "[[A] [B]] [[A] B]", "A"),
-    _rule("A9-Echelon", "Echelon", "[[[A] B] C]", "[A C] [[B] C]"),
-    _rule(
-        "A10-Crosstransposition",
-        "Crosstransposition",
-        "[[[A] B] [[A] [B]]]",
-        "[A B] [A [B]]",
-    ),
-    # Laws specific to the 16-valued calculus.
-    _rule("Q1-SQR", "SQR", "[[A]{a}]{a}", "[A]", ("alpha",)),
-    _rule("Q2-IJK", "IJK", "[[[A]i]j]k", "[A]"),
-    _rule("Q3-QuadraReflexion", "Quadra Reflexion", "[A]{a}^4", "A", ("alpha",)),
-    _rule("Q4-MarkCommutes", "Mark Commutes", "[[A]{a}]", "[[A]]{a}", ("alpha",)),
-    _rule(
-        "Q5-AntiCommutes",
-        "Anti-commutes",
-        "[[A]{a}]{b}",
-        "[[[A]{b}]{a}]",
-        ("alpha", "beta"),
-    ),
-    _rule(
-        "Q6-SplitGeneration",
-        "Split Generation",
-        "[[A]{a} B]{a} C",
-        "[[A C]{a} B]{a} C",
-        ("alpha",),
-    ),
-    _rule("Q7-Extraction", "Extraction", "[A []{a}]{a}", "[A]{a} []{a}^3", ("alpha",)),
-    _rule(
-        "Q8-Disintegration",
-        "Disintegration",
-        "[A B]{a}",
-        "[[[A]{a} [B]{a}] [[A]{a} []{a}^3] [[B]{a} []{a}^3]]",
-        ("alpha",),
-    ),
-    _rule(
-        "Q9-RightDistribution",
-        "Right Distribution",
-        "[[A]{a}^3 [B]{a}^3]{a} C",
-        "[[A C]{a}^3 [B C]{a}^3]{a}",
-        ("alpha",),
-    ),
-    _rule(
-        "Q10-LeftDistribution",
-        "Left Distribution",
-        "C [[A]{a}^3 [B]{a}^3]{a}",
-        "[[C A]{a}^3 [C B]{a}^3]{a}",
-        ("alpha",),
-    ),
-    _rule("Q11-CompileK", "Compile-k", "[[]i []j] [[]i^3 []j^3]", "[]k"),
-    _rule("Q12-CompileI", "Compile-i", "[[]j []k] [[]j^3 []k^3]", "[]i"),
-    _rule("Q13-CompileJ", "Compile-j", "[[]i []k] [[]i^3 []k^3]", "[]j"),
+    # The ten initials and consequences shared with the plain calculus, and
+    # the laws specific to the 16-valued calculus, as the law suites state them.
+    *(_rule(*law) for law in APPENDIX_A_LAWS),
+    *(_rule(*law) for law in APPENDIX_B_LAWS),
+    *(_rule(law_id, lhs, op_form(op, VOID)) for law_id, lhs, op in COMPILE_LAWS),
     # The distribution law for the cube-power conjunction forms.
     _rule(
         "QD-AndDistribution",
-        "Conjunction Distribution",
         "[[A]{a} [B]{a}]{a}^3 C",
         "[[A C]{a} [B C]{a}]{a}^3",
         ("alpha",),
     ),
     # Definitional expansions of marks over tuple literals.
-    _rule("D1-PlainTuple", "Plain mark on a tuple", "[{s1, s2, s3, s4}]", "{[s1], [s2], [s3], [s4]}"),
-    _rule("D1-ITuple", "i-mark on a tuple", "[{s1, s2, s3, s4}]i", "{[s2], s1, s4, [s3]}"),
-    _rule("D1-JTuple", "j-mark on a tuple", "[{s1, s2, s3, s4}]j", "{[s3], [s4], s1, s2}"),
-    _rule("D1-KTuple", "k-mark on a tuple", "[{s1, s2, s3, s4}]k", "{[s4], s3, [s2], s1}"),
+    _rule("D1-PlainTuple", "[{s1, s2, s3, s4}]", "{[s1], [s2], [s3], [s4]}"),
+    _rule("D1-ITuple", "[{s1, s2, s3, s4}]i", "{[s2], s1, s4, [s3]}"),
+    _rule("D1-JTuple", "[{s1, s2, s3, s4}]j", "{[s3], [s4], s1, s2}"),
+    _rule("D1-KTuple", "[{s1, s2, s3, s4}]k", "{[s4], s3, [s2], s1}"),
     _rule(
         "D2-JuxtTuple",
-        "Tuple-wise juxtaposition",
         "{s1, s2, s3, s4} {t1, t2, t3, t4}",
         "{s1 t1, s2 t2, s3 t3, s4 t4}",
     ),
     # Values of the empty marks and their cubes, as tuple literals.
-    _rule("E-EmptyPlain", "Empty plain mark", "[]", "{[], [], [], []}"),
-    _rule("E-EmptyI", "Empty i-mark", "[]i", "{[], , , []}"),
-    _rule("E-EmptyJ", "Empty j-mark", "[]j", "{[], [], , }"),
-    _rule("E-EmptyK", "Empty k-mark", "[]k", "{[], , [], }"),
-    _rule("E-EmptyI3", "Empty i-mark cubed", "[]i^3", "{, [], [], }"),
-    _rule("E-EmptyJ3", "Empty j-mark cubed", "[]j^3", "{, , [], []}"),
-    _rule("E-EmptyK3", "Empty k-mark cubed", "[]k^3", "{, [], , []}"),
+    _rule("E-EmptyPlain", "[]", "{[], [], [], []}"),
+    _rule("E-EmptyI", "[]i", "{[], , , []}"),
+    _rule("E-EmptyJ", "[]j", "{[], [], , }"),
+    _rule("E-EmptyK", "[]k", "{[], , [], }"),
+    _rule("E-EmptyI3", "[]i^3", "{, [], [], }"),
+    _rule("E-EmptyJ3", "[]j^3", "{, , [], []}"),
+    _rule("E-EmptyK3", "[]k^3", "{, [], , []}"),
     # Composition facts for nested subscripted marks.
-    _rule("C-IJ", "ij = k", "[[A]i]j", "[A]k"),
-    _rule("C-JK", "jk = i", "[[A]j]k", "[A]i"),
-    _rule("C-KI", "ki = j", "[[A]k]i", "[A]j"),
-    _rule("C-JI", "ji = -k", "[[A]j]i", "[[A]k]"),
-    _rule("C-KJ", "kj = -i", "[[A]k]j", "[[A]i]"),
-    _rule("C-IK", "ik = -j", "[[A]i]k", "[[A]j]"),
-    _rule("C-JKI", "jki = -1", "[[[A]j]k]i", "[A]"),
-    _rule("C-KIJ", "kij = -1", "[[[A]k]i]j", "[A]"),
+    _rule("C-IJ", "[[A]i]j", "[A]k"),
+    _rule("C-JK", "[[A]j]k", "[A]i"),
+    _rule("C-KI", "[[A]k]i", "[A]j"),
+    _rule("C-JI", "[[A]j]i", "[[A]k]"),
+    _rule("C-KJ", "[[A]k]j", "[[A]i]"),
+    _rule("C-IK", "[[A]i]k", "[[A]j]"),
+    _rule("C-JKI", "[[[A]j]k]i", "[A]"),
+    _rule("C-KIJ", "[[[A]k]i]j", "[A]"),
     # Power notation.
-    _rule("P2-PowerSquare", "Square is the mark", "[A]{a}^2", "[A]", ("alpha",)),
-    _rule("P3-PowerCube", "Cube is the negated mark", "[A]{a}^3", "[[A]{a}]", ("alpha",)),
-    Rule(
-        "QCOMP",
-        "Operator-power composition",
-        ("alpha", "m", "beta", "n"),
-        _qcomp_lhs,
-        _qcomp_rhs,
-    ),
+    _rule("P2-PowerSquare", "[A]{a}^2", "[A]", ("alpha",)),
+    _rule("P3-PowerCube", "[A]{a}^3", "[[A]{a}]", ("alpha",)),
+    Rule("QCOMP", ("alpha", "m", "beta", "n"), _qcomp_lhs, _qcomp_rhs),
 ]
 
 RULES: dict[str, Rule] = {r.id: r for r in _RULE_LIST}
@@ -362,24 +297,17 @@ def replace_at(e: Expr, pos: Sequence[int], new: Expr) -> Expr:
     if isinstance(e, Tuple4):
         slots = list(e.slots)
         slots[stored] = replaced
-        if not _all_lof(slots):
-            _purity_error(replaced)
+        if not all(is_lof_expr(s) for s in slots):
+            raise BadSubstitution(
+                "rewrite would place a non-LoF expression in a tuple slot:"
+                f" {print_expr(replaced)}"
+            )
         return Tuple4(tuple(slots))
     if isinstance(e, ExpApply):
         if stored == 0:
             return ExpApply(replaced, e.exponent)
         return ExpApply(e.base, replaced)
     raise BadPosition(f"no children at {print_expr(e)}")
-
-
-def _all_lof(slots) -> bool:
-    return all(is_lof_expr(s) for s in slots)
-
-
-def _purity_error(e: Expr):
-    raise BadSubstitution(
-        f"rewrite would place a non-LoF expression in a tuple slot: {print_expr(e)}"
-    )
 
 
 def _walk(e: Expr, pos: tuple[int, ...] = ()):
@@ -556,23 +484,38 @@ class Derivation:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "Derivation":
+        """Read the JSON form; a field of the wrong shape raises ValueError
+        naming it."""
+        data = _shaped(data, "derivation", dict)
         steps = []
-        for s in data.get("steps", ()):
+        raw_steps = _shaped(data.get("steps", []), "derivation.steps", list)
+        for i, s in enumerate(raw_steps):
+            where = f"derivation.steps[{i}]"
+            s = _shaped(s, where, dict)
+            pos = _shaped(s.get("pos", []), f"{where}.pos", list)
+            subst = _shaped(s.get("subst", {}), f"{where}.subst", dict)
             steps.append(
                 Step(
-                    s["rule"],
-                    s.get("dir", "ltr"),
-                    tuple(s.get("pos", ())),
-                    {k: parse(v) for k, v in s.get("subst", {}).items()},
-                    dict(s.get("params", {})),
-                    parse(s["result"]) if "result" in s else None,
+                    _shaped(s.get("rule"), f"{where}.rule", str),
+                    _shaped(s.get("dir", "ltr"), f"{where}.dir", str),
+                    tuple(
+                        _shaped(p, f"{where}.pos[{j}]", int) for j, p in enumerate(pos)
+                    ),
+                    {
+                        k: parse(_shaped(v, f"{where}.subst.{k}", str))
+                        for k, v in subst.items()
+                    },
+                    dict(_shaped(s.get("params", {}), f"{where}.params", dict)),
+                    parse(_shaped(s["result"], f"{where}.result", str))
+                    if "result" in s
+                    else None,
                 )
             )
         return cls(
-            data.get("name", "derivation"),
-            parse(data["start"]),
+            _shaped(data.get("name", "derivation"), "derivation.name", str),
+            parse(_shaped(data.get("start"), "derivation.start", str)),
             tuple(steps),
-            parse(data["end"]),
+            parse(_shaped(data.get("end"), "derivation.end", str)),
         )
 
     def dumps(self) -> str:
@@ -581,6 +524,28 @@ class Derivation:
     @classmethod
     def loads(cls, text: str) -> "Derivation":
         return cls.from_json(json.loads(text))
+
+
+# bool comes before int: a JSON true is an int to isinstance, not a position.
+_JSON_KINDS = {
+    bool: "a boolean",
+    dict: "an object",
+    list: "a list",
+    str: "a string",
+    int: "an integer",
+    float: "a number",
+}
+
+
+def _shaped(value, where: str, kind: type):
+    """value, if it has the JSON type kind; else ValueError naming the field."""
+    got = next(
+        (name for t, name in _JSON_KINDS.items() if isinstance(value, t)),
+        "null or missing",
+    )
+    if got != _JSON_KINDS[kind]:
+        raise ValueError(f"{where} must be {_JSON_KINDS[kind]}, not {got}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -8,16 +8,19 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 from pathlib import Path
 from typing import Mapping, Union
 
 from .kernel import (
     ALL_QVALUES,
+    MARK_OPS,
     LoFValue,
     Q8Op,
     QValue,
     lof_juxt,
     lof_mark,
+    op_of_value,
     op_value,
     q8_apply,
     q8_power,
@@ -69,28 +72,15 @@ class BadExponentValue(EvalError):
         self.value = value
 
 
-_SUB_TO_OP = {PLAIN: Q8Op.M1, "i": Q8Op.I, "j": Q8Op.J, "k": Q8Op.K}
-
-# apply_op as 16-entry lookup tables, one per mark kind.
-APPLY_TABLES: dict[str, tuple[int, ...]] = {
-    sub: tuple(q8_apply(op, v).bits for v in ALL_QVALUES)
-    for sub, op in _SUB_TO_OP.items()
-}
-
-# Value of an empty mark, by the operator-group element producing it.
-OP_BY_VALUE_BITS: dict[int, Q8Op] = {op_value(g).bits: g for g in Q8Op}
-
-
 def apply_op(sub: str, v: QValue) -> QValue:
     """One mark application: plain marks every slot, i/j/k route and mark
     slots as ([b],a,d,[c]), ([c],[d],a,b) and ([d],c,[b],a) respectively."""
-    return QValue(APPLY_TABLES[sub][v.bits])
+    return q8_apply(MARK_OPS[sub], v)
 
 
 def apply_op_power(sub: str, v: QValue, n: int) -> QValue:
     """sub applied n times; reduces mod 4 (plain has order 2, i/j/k order 4)."""
-    g = q8_power(_SUB_TO_OP[sub], n)
-    return q8_apply(g, v)
+    return q8_apply(q8_power(MARK_OPS[sub], n), v)
 
 
 def juxtapose(v: QValue, w: QValue) -> QValue:
@@ -148,7 +138,7 @@ def evaluate(e: Expr, env: Env | None = None) -> QValue:
         return QValue.from_slots(*(_lof_eval(s, env) for s in e.slots))
     if isinstance(e, ExpApply):
         exp = evaluate(e.exponent, env)
-        g = OP_BY_VALUE_BITS.get(exp.bits)
+        g = op_of_value(exp)
         if g is None:
             raise BadExponentValue(exp)
         return q8_apply(g, evaluate(e.base, env))
@@ -295,7 +285,7 @@ def solve_bf_embeddings() -> dict[str, dict[str, str]]:
     for alpha in ("i", "j", "k"):
         solutions = []
         values = list(ALL_QVALUES)
-        for img in _injections(values):
+        for img in permutations(values, 4):
             phi = dict(zip(ALL_BFVALUES, img))
             if phi[BFValue(0)] != QValue(0):
                 continue
@@ -314,15 +304,6 @@ def solve_bf_embeddings() -> dict[str, dict[str, str]]:
             v.pattern(): solutions[0][v].pattern() for v in ALL_BFVALUES
         }
     return out
-
-
-def _injections(values):
-    for a in values:
-        for b in values:
-            for c in values:
-                for d in values:
-                    if len({a, b, c, d}) == 4:
-                        yield (a, b, c, d)
 
 
 @lru_cache(maxsize=1)
@@ -360,10 +341,10 @@ def slot_routes(e: Expr) -> dict[str, set[tuple[int, int]]]:
         if isinstance(x, Void):
             return {}
         if isinstance(x, Mark):
-            return _route_through(walk(x.body), _SUB_TO_OP[x.sub])
+            return _route_through(walk(x.body), MARK_OPS[x.sub])
         if isinstance(x, Power):
             return _route_through(
-                walk(x.body), q8_power(_SUB_TO_OP[x.sub], x.exponent)
+                walk(x.body), q8_power(MARK_OPS[x.sub], x.exponent)
             )
         if isinstance(x, Juxt):
             acc: dict[str, set[tuple[int, int]]] = {}
@@ -372,7 +353,7 @@ def slot_routes(e: Expr) -> dict[str, set[tuple[int, int]]]:
                     acc.setdefault(name, set()).update(pairs)
             return acc
         if isinstance(x, ExpApply):
-            g = OP_BY_VALUE_BITS.get(evaluate(x.exponent, {}).bits)
+            g = op_of_value(evaluate(x.exponent, {}))
             if g is None:
                 raise EvalError("exponent does not evaluate to an operator value")
             return _route_through(walk(x.base), g)

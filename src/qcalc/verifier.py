@@ -21,10 +21,12 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Iterable, Mapping
 
 from .kernel import (
     ALL_QVALUES,
+    MARK_OPS,
     Q8Op,
     QValue,
     op_value,
@@ -101,9 +103,6 @@ def _var_spec(exprs: Iterable[Expr]) -> tuple[tuple[str, int], ...]:
     )
 
 
-_SUB_OPS = {"": Q8Op.M1, "i": Q8Op.I, "j": Q8Op.J, "k": Q8Op.K}
-
-
 # Rows per block, as a power of two.  A plane of 2^18 bits (32 KiB) stays
 # in cache and its memory is reused; at 16^6 rows a whole-range plane is
 # 2 MiB, and fresh pages for it cost more than the bitwise work.
@@ -170,9 +169,9 @@ class _Planes:
             base = self.offset[e.name]
             return tuple(self.masks[base + 3 - s] for s in range(4))
         if isinstance(e, Mark):
-            return self.route(_SUB_OPS[e.sub], self.value(e.body))
+            return self.route(MARK_OPS[e.sub], self.value(e.body))
         if isinstance(e, Power):
-            g = q8_power(_SUB_OPS[e.sub], e.exponent)
+            g = q8_power(MARK_OPS[e.sub], e.exponent)
             return self.route(g, self.value(e.body))
         if isinstance(e, Juxt):
             out = list(self.value(e.parts[0]))
@@ -351,52 +350,49 @@ APPENDIX_A_LAWS: tuple[tuple[str, str, str], ...] = (
 ALPHAS = ("i", "j", "k")
 
 
+# Q1-Q10 as (id, lhs, rhs, params): the texts are templates in which {a}
+# and {b} stand for the subscripts alpha and beta.  The rewrite rule base
+# reads this table too.
+APPENDIX_B_LAWS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
+    ("Q1-SQR", "[[A]{a}]{a}", "[A]", ("alpha",)),
+    ("Q2-IJK", "[[[A]i]j]k", "[A]", ()),
+    ("Q3-QuadraReflexion", "[A]{a}^4", "A", ("alpha",)),
+    ("Q4-MarkCommutes", "[[A]{a}]", "[[A]]{a}", ("alpha",)),
+    ("Q5-AntiCommutes", "[[A]{a}]{b}", "[[[A]{b}]{a}]", ("alpha", "beta")),
+    ("Q6-SplitGeneration", "[[A]{a} B]{a} C", "[[A C]{a} B]{a} C", ("alpha",)),
+    ("Q7-Extraction", "[A []{a}]{a}", "[A]{a} []{a}^3", ("alpha",)),
+    (
+        "Q8-Disintegration",
+        "[A B]{a}",
+        "[[[A]{a} [B]{a}] [[A]{a} []{a}^3] [[B]{a} []{a}^3]]",
+        ("alpha",),
+    ),
+    (
+        "Q9-RightDistribution",
+        "[[A]{a}^3 [B]{a}^3]{a} C",
+        "[[A C]{a}^3 [B C]{a}^3]{a}",
+        ("alpha",),
+    ),
+    (
+        "Q10-LeftDistribution",
+        "C [[A]{a}^3 [B]{a}^3]{a}",
+        "[[C A]{a}^3 [C B]{a}^3]{a}",
+        ("alpha",),
+    ),
+)
+
+
 def appendix_b_laws() -> list[tuple[str, str, str]]:
-    """Q1-Q10 instantiated for every applicable alpha (and beta)."""
+    """Q1-Q10 instantiated for every applicable alpha (and beta).
+
+    Only Q5 takes two subscripts, and it needs them distinct.
+    """
     laws: list[tuple[str, str, str]] = []
-    for a in ALPHAS:
-        laws.append((f"Q1-SQR[{a}]", f"[[A]{a}]{a}", "[A]"))
-    laws.append(("Q2-IJK", "[[[A]i]j]k", "[A]"))
-    for a in ALPHAS:
-        laws.append((f"Q3-QuadraReflexion[{a}]", f"[A]{a}^4", "A"))
-    for a in ALPHAS:
-        laws.append((f"Q4-MarkCommutes[{a}]", f"[[A]{a}]", f"[[A]]{a}"))
-    for a in ALPHAS:
-        for b in ALPHAS:
-            if a != b:
-                laws.append(
-                    (f"Q5-AntiCommutes[{a},{b}]", f"[[A]{a}]{b}", f"[[[A]{b}]{a}]")
-                )
-    for a in ALPHAS:
-        laws.append(
-            (f"Q6-SplitGeneration[{a}]", f"[[A]{a} B]{a} C", f"[[A C]{a} B]{a} C")
-        )
-    for a in ALPHAS:
-        laws.append((f"Q7-Extraction[{a}]", f"[A []{a}]{a}", f"[A]{a} []{a}^3"))
-    for a in ALPHAS:
-        laws.append(
-            (
-                f"Q8-Disintegration[{a}]",
-                f"[A B]{a}",
-                f"[[[A]{a} [B]{a}] [[A]{a} []{a}^3] [[B]{a} []{a}^3]]",
-            )
-        )
-    for a in ALPHAS:
-        laws.append(
-            (
-                f"Q9-RightDistribution[{a}]",
-                f"[[A]{a}^3 [B]{a}^3]{a} C",
-                f"[[A C]{a}^3 [B C]{a}^3]{a}",
-            )
-        )
-    for a in ALPHAS:
-        laws.append(
-            (
-                f"Q10-LeftDistribution[{a}]",
-                f"C [[A]{a}^3 [B]{a}^3]{a}",
-                f"[[C A]{a}^3 [C B]{a}^3]{a}",
-            )
-        )
+    for law_id, lhs, rhs, params in APPENDIX_B_LAWS:
+        for subs in permutations(ALPHAS, len(params)):
+            fill = dict(zip("ab", subs))
+            name = f"{law_id}[{','.join(subs)}]" if subs else law_id
+            laws.append((name, lhs.format(**fill), rhs.format(**fill)))
     return laws
 
 

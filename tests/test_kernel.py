@@ -90,9 +90,9 @@ class TestSignedPerm:
         assert q8_to_signed_perm(Q8Op.P1) == SignedPerm.identity(4)
 
     def test_klein_four_underlying(self):
-        assert q8_to_signed_perm(Q8Op.I).unsigned() == (2, 1, 4, 3)
-        assert q8_to_signed_perm(Q8Op.J).unsigned() == (3, 4, 1, 2)
-        assert q8_to_signed_perm(Q8Op.K).unsigned() == (4, 3, 2, 1)
+        assert q8_to_signed_perm(Q8Op.I).target == (2, 1, 4, 3)
+        assert q8_to_signed_perm(Q8Op.J).target == (3, 4, 1, 2)
+        assert q8_to_signed_perm(Q8Op.K).target == (4, 3, 2, 1)
 
     def test_isomorphism_all_64_pairs(self):
         for g, h in product(Q8Op, Q8Op):
