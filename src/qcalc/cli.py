@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .braid import (
@@ -46,21 +45,6 @@ from .verifier import (
 )
 
 
-@dataclass
-class CliConfig:
-    format: str = "text"
-    budget: int | None = None
-
-    def __post_init__(self) -> None:
-        # QCALC_BUDGET is read even under --budget, so a malformed value is
-        # a usage error before any check runs.
-        env_budget = assignment_budget()
-        if self.budget is None:
-            self.budget = env_budget
-        if self.budget < 16:
-            raise ValueError("budget must be at least 16")
-
-
 def _emit_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
@@ -86,7 +70,7 @@ def _parse_env(text: str) -> dict:
     return env
 
 
-def _cmd_parse(args, cfg: CliConfig) -> int:
+def _cmd_parse(args) -> int:
     text = Path(args.file).read_text()
     lines_out = []
     for line in parse_qlf(text):
@@ -100,7 +84,7 @@ def _cmd_parse(args, cfg: CliConfig) -> int:
                     "rhs": print_expr(line.rhs),
                 }
             )
-    if cfg.format == "json":
+    if args.format == "json":
         _emit_json({"lines": lines_out})
     else:
         for entry in lines_out:
@@ -111,21 +95,21 @@ def _cmd_parse(args, cfg: CliConfig) -> int:
     return 0
 
 
-def _cmd_eval(args, cfg: CliConfig) -> int:
+def _cmd_eval(args) -> int:
     expr = parse(args.expr)
     env = _parse_env(args.env or "")
     value = evaluate(expr, env)
-    if cfg.format == "json":
+    if args.format == "json":
         _emit_json({"expr": print_expr(expr), "value": value.pattern()})
     else:
         print(value.pattern())
     return 0
 
 
-def _cmd_equiv(args, cfg: CliConfig) -> int:
+def _cmd_equiv(args) -> int:
     if args.file:
-        report = check_assertions(Path(args.file).read_text(), budget=cfg.budget)
-        if cfg.format == "json":
+        report = check_assertions(Path(args.file).read_text())
+        if args.format == "json":
             print(report_to_json_text(report))
         else:
             print(report.render())
@@ -133,7 +117,7 @@ def _cmd_equiv(args, cfg: CliConfig) -> int:
     if args.assertion is None:
         raise ValueError("equiv needs an \"LHS == RHS\" argument or --file")
     lhs, rhs = parse_assertion(args.assertion)
-    result = check_equiv(lhs, rhs, budget=cfg.budget)
+    result = check_equiv(lhs, rhs)
     payload = {
         "lhs": print_expr(lhs),
         "rhs": print_expr(rhs),
@@ -143,7 +127,7 @@ def _cmd_equiv(args, cfg: CliConfig) -> int:
     ce = env_patterns(result.counterexample)
     if ce is not None:
         payload["counterexample"] = ce
-    if cfg.format == "json":
+    if args.format == "json":
         _emit_json(payload)
     else:
         print(result.verdict)
@@ -152,20 +136,20 @@ def _cmd_equiv(args, cfg: CliConfig) -> int:
     return 0 if result.equivalent else 1
 
 
-def _cmd_laws(args, cfg: CliConfig) -> int:
+def _cmd_laws(args) -> int:
     report = run_law_suite(args.suite)
-    if cfg.format == "json":
+    if args.format == "json":
         print(report_to_json_text(report))
     else:
         print(report.render())
     return 0 if report.all_hold else 1
 
 
-def _cmd_distribution(args, cfg: CliConfig) -> int:
+def _cmd_distribution(args) -> int:
     report = distribution_matrix()
     demos = distribution_demos()
     ok = report.all_hold and demos.demo1_holds and demos.demo2_resolved == "template"
-    if cfg.format == "json":
+    if args.format == "json":
         payload = report.to_json()
         payload["demonstrations"] = demos.to_json()
         _emit_json(payload)
@@ -175,9 +159,9 @@ def _cmd_distribution(args, cfg: CliConfig) -> int:
     return 0 if ok else 1
 
 
-def _cmd_group_table(args, cfg: CliConfig) -> int:
+def _cmd_group_table(args) -> int:
     ops = list(Q8Op)
-    if cfg.format == "json":
+    if args.format == "json":
         _emit_json(
             {
                 "elements": [g.symbol for g in ops],
@@ -199,10 +183,10 @@ def _cmd_group_table(args, cfg: CliConfig) -> int:
     return 0
 
 
-def _cmd_braid_compose(args, cfg: CliConfig) -> int:
+def _cmd_braid_compose(args) -> int:
     word = parse_braid_word(args.word, args.n)
     perm = braid_to_signed_perm(word)
-    if cfg.format == "json":
+    if args.format == "json":
         _emit_json(
             {
                 "word": word_to_text(word),
@@ -216,26 +200,26 @@ def _cmd_braid_compose(args, cfg: CliConfig) -> int:
     return 0
 
 
-def _cmd_braid_verify(args, cfg: CliConfig) -> int:
+def _cmd_braid_verify(args) -> int:
     report = verify_braid_relations(args.n)
-    if cfg.format == "json":
+    if args.format == "json":
         _emit_json(report.to_json())
     else:
         print(report.render())
     return 0 if report.all_hold else 1
 
 
-def _cmd_braid_diagram(args, cfg: CliConfig) -> int:
+def _cmd_braid_diagram(args) -> int:
     word = parse_braid_word(args.word, args.n)
     print(braid_diagram(word))
     return 0
 
 
-def _cmd_check_derivation(args, cfg: CliConfig) -> int:
+def _cmd_check_derivation(args) -> int:
     data = json.loads(Path(args.file).read_text())
     scripts = data if isinstance(data, list) else [data]
     reports = [check_derivation(Derivation.from_json(entry)) for entry in scripts]
-    if cfg.format == "json":
+    if args.format == "json":
         _emit_json([r.to_json() for r in reports])
     else:
         for r in reports:
@@ -262,7 +246,7 @@ def _parse_perm(text: str) -> SlotPermutation:
     return SlotPermutation(tuple(source), tuple(marks))
 
 
-def _cmd_construct(args, cfg: CliConfig) -> int:
+def _cmd_construct(args) -> int:
     if args.kind == "mark-slot":
         slot = int(args.arg)
         expr = mark_slot(slot)
@@ -277,7 +261,7 @@ def _cmd_construct(args, cfg: CliConfig) -> int:
         "verified": result.equivalent,
         "assignments_checked": result.assignments_checked,
     }
-    if cfg.format == "json":
+    if args.format == "json":
         _emit_json(payload)
     else:
         print(payload["expression"])
@@ -292,13 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
         " equivalence, law suites, derivation checking, braids.",
     )
     ap.add_argument("--format", choices=("text", "json"), default="text")
-    ap.add_argument(
-        "--budget",
-        type=int,
-        default=None,
-        help="assignment budget for equivalence checks"
-        " (default 16^6, or QCALC_BUDGET)",
-    )
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="echo a .qlf file in canonical form")
@@ -361,10 +338,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        cfg = CliConfig(format=args.format, budget=args.budget)
+        # Every check reads QCALC_BUDGET; a malformed value is a usage
+        # error before any of them runs.
+        assignment_budget()
         if hasattr(args, "n") and not 2 <= args.n <= MAX_STRANDS:
             raise ValueError(f"braid arity must be between 2 and {MAX_STRANDS}")
-        return args.fn(args, cfg)
+        return args.fn(args)
     except ParseError as err:
         print(
             f"error: {err.message} (at {err.span.start}..{err.span.end})",

@@ -31,21 +31,18 @@ from .kernel import MARK_OPS, q8_mul, q8_power
 from .textio import (
     VOID,
     Expr,
-    ExpApply,
     Juxt,
-    Mark,
-    Power,
-    Tuple4,
     Var,
     ac_equal,
     canonical_text,
     children,
-    is_lof_expr,
+    free_vars,
     juxt,
     parse,
     power,
     print_expr,
     substitute,
+    with_children,
 )
 from .verifier import (
     ALPHAS,
@@ -285,29 +282,15 @@ def replace_at(e: Expr, pos: Sequence[int], new: Expr) -> Expr:
     if not 0 <= head < len(addressed):
         raise BadPosition(f"position {tuple(pos)} out of range")
     child, stored = addressed[head]
-    replaced = replace_at(child, rest, new)
-    if isinstance(e, Mark):
-        return Mark(e.sub, replaced)
-    if isinstance(e, Power):
-        return Power(e.sub, replaced, e.exponent)
-    if isinstance(e, Juxt):
-        parts = list(e.parts)
-        parts[stored] = replaced
-        return juxt(*parts)
-    if isinstance(e, Tuple4):
-        slots = list(e.slots)
-        slots[stored] = replaced
-        if not all(is_lof_expr(s) for s in slots):
-            raise BadSubstitution(
-                "rewrite would place a non-LoF expression in a tuple slot:"
-                f" {print_expr(replaced)}"
-            )
-        return Tuple4(tuple(slots))
-    if isinstance(e, ExpApply):
-        if stored == 0:
-            return ExpApply(replaced, e.exponent)
-        return ExpApply(e.base, replaced)
-    raise BadPosition(f"no children at {print_expr(e)}")
+    kids = list(children(e))
+    kids[stored] = replace_at(child, rest, new)
+    try:
+        return with_children(e, kids)
+    except ValueError:
+        raise BadSubstitution(
+            "rewrite would place a non-LoF expression in a tuple slot:"
+            f" {print_expr(kids[stored])}"
+        ) from None
 
 
 def _walk(e: Expr, pos: tuple[int, ...] = ()):
@@ -325,17 +308,6 @@ def all_positions(e: Expr) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # Rule application
 # ---------------------------------------------------------------------------
-
-def _metavars(e: Expr) -> set[str]:
-    out = set()
-    stack = [e]
-    while stack:
-        cur = stack.pop()
-        if isinstance(cur, Var):
-            out.add(cur.name)
-        stack.extend(children(cur))
-    return out
-
 
 def _normalize_subst(subst: Mapping[str, Expr | str] | None) -> dict[str, Expr]:
     out: dict[str, Expr] = {}
@@ -364,7 +336,7 @@ def _instantiate(
     src_pat, dst_pat = (lhs, rhs) if direction == "ltr" else (rhs, lhs)
 
     bindings = _normalize_subst(subst)
-    needed = _metavars(src_pat) | _metavars(dst_pat)
+    needed = set().union(*free_vars(src_pat), *free_vars(dst_pat))
     missing = needed - set(bindings)
     if missing:
         raise BadSubstitution(

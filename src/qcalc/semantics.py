@@ -5,18 +5,13 @@ logical connectives, and the 2-tuple pair mode.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
-from pathlib import Path
 from typing import Mapping, Union
 
 from .kernel import (
-    ALL_QVALUES,
     MARK_OPS,
     LoFValue,
-    Q8Op,
     QValue,
     lof_juxt,
     lof_mark,
@@ -24,7 +19,6 @@ from .kernel import (
     op_value,
     q8_apply,
     q8_power,
-    q8_to_signed_perm,
 )
 from .textio import (
     PLAIN,
@@ -270,106 +264,48 @@ def bf_evaluate(e: Expr, env: BFEnv | None = None) -> BFValue:
 # Embedding the four pair values into the i/j/k subspaces
 # ---------------------------------------------------------------------------
 
-_EMBEDDING_PATH = Path(__file__).parent / "data" / "bf_embeddings.json"
-
-
 def solve_bf_embeddings() -> dict[str, dict[str, str]]:
-    """Brute-force the injection of the 4 pair values into each subspace.
+    """The injection of the 4 pair values into each subspace.
 
-    The injection is pinned by three constraints: the unmarked pair maps to
-    the all-unmarked tuple, the pair i-mark intertwines with the subspace
-    mark, and the plain mark intertwines with the plain mark.  The solution
-    is unique per subspace.
+    The unmarked pair maps to the all-unmarked tuple and the pair i-mark
+    intertwines with the subspace mark.  The i-orbit of the unmarked pair,
+    UU -> MU -> MM -> UM, holds all four pair values, so these two
+    constraints fix the table; walking the orbit builds it.  The plain mark
+    must then intertwine with the plain mark, else AssertionError.
     """
     out: dict[str, dict[str, str]] = {}
     for alpha in ("i", "j", "k"):
-        solutions = []
-        values = list(ALL_QVALUES)
-        for img in permutations(values, 4):
-            phi = dict(zip(ALL_BFVALUES, img))
-            if phi[BFValue(0)] != QValue(0):
-                continue
-            ok = all(
-                phi[bf_apply("i", v)] == apply_op(alpha, phi[v])
-                and phi[bf_apply(PLAIN, v)] == apply_op(PLAIN, phi[v])
-                for v in ALL_BFVALUES
+        phi: dict[BFValue, QValue] = {}
+        v, w = BFValue(0), QValue(0)
+        for _ in ALL_BFVALUES:
+            phi[v] = w
+            v, w = bf_apply("i", v), apply_op(alpha, w)
+        ok = (
+            len(phi) == len(set(phi.values())) == 4  # an injection of all four
+            and phi[v] == w  # the orbit's last step intertwines too
+            and all(
+                phi[bf_apply(PLAIN, u)] == apply_op(PLAIN, phi[u]) for u in ALL_BFVALUES
             )
-            if ok:
-                solutions.append(phi)
-        if len(solutions) != 1:
-            raise AssertionError(
-                f"expected a unique embedding for {alpha}, found {len(solutions)}"
-            )
-        out[alpha] = {
-            v.pattern(): solutions[0][v].pattern() for v in ALL_BFVALUES
-        }
+        )
+        if not ok:
+            raise AssertionError(f"no embedding of the pair values into {alpha}")
+        out[alpha] = {u.pattern(): phi[u].pattern() for u in ALL_BFVALUES}
     return out
 
 
 @lru_cache(maxsize=1)
 def _embeddings() -> dict[str, dict[int, QValue]]:
-    data = json.loads(_EMBEDDING_PATH.read_text())
     return {
         alpha: {
             BFValue.from_pattern(src).bits: QValue.from_pattern(dst)
             for src, dst in table.items()
         }
-        for alpha, table in data.items()
+        for alpha, table in solve_bf_embeddings().items()
     }
 
 
 def embed_bf(alpha: str, v: BFValue) -> QValue:
-    """The recorded injection of a pair value into the alpha subspace."""
+    """The injection of a pair value into the alpha subspace."""
     if alpha not in ("i", "j", "k"):
         raise ValueError(f"no {alpha!r} subspace")
     return _embeddings()[alpha][v.bits]
-
-
-# ---------------------------------------------------------------------------
-# Slot routing (which input slots can influence which output slots)
-# ---------------------------------------------------------------------------
-
-def slot_routes(e: Expr) -> dict[str, set[tuple[int, int]]]:
-    """For a tuple-free expression, the set of (source, target) slot pairs
-    per variable through which evaluation can route a slot of that
-    variable's value.  Exponent applications must have closed exponents.
-    """
-
-    def walk(x: Expr) -> dict[str, set[tuple[int, int]]]:
-        if isinstance(x, Var):
-            return {x.name: {(s, s) for s in (1, 2, 3, 4)}}
-        if isinstance(x, Void):
-            return {}
-        if isinstance(x, Mark):
-            return _route_through(walk(x.body), MARK_OPS[x.sub])
-        if isinstance(x, Power):
-            return _route_through(
-                walk(x.body), q8_power(MARK_OPS[x.sub], x.exponent)
-            )
-        if isinstance(x, Juxt):
-            acc: dict[str, set[tuple[int, int]]] = {}
-            for p in x.parts:
-                for name, pairs in walk(p).items():
-                    acc.setdefault(name, set()).update(pairs)
-            return acc
-        if isinstance(x, ExpApply):
-            g = op_of_value(evaluate(x.exponent, {}))
-            if g is None:
-                raise EvalError("exponent does not evaluate to an operator value")
-            return _route_through(walk(x.base), g)
-        raise EvalError("slot routing needs a tuple-free expression")
-
-    return walk(e)
-
-
-def _route_through(sub: dict[str, set[tuple[int, int]]], g: Q8Op):
-    perm = q8_to_signed_perm(g)
-    out: dict[str, set[tuple[int, int]]] = {}
-    for name, pairs in sub.items():
-        moved = set()
-        for src, dst in pairs:
-            for p in (1, 2, 3, 4):
-                if perm.target[p - 1] == dst:
-                    moved.add((src, p))
-        out[name] = moved
-    return out

@@ -7,21 +7,26 @@ Grammar:
     [ body ]i^3     operator power (positive integer exponent)
     { a, b, c, d }  4-tuple literal; slots are plain-LoF expressions,
                     an empty slot is the void
+    ( body )        grouping
     X^(expr)        exponent application
     adjacency       juxtaposition (whitespace-insensitive, n-ary, flattened)
     identifiers     [A-Za-z][A-Za-z0-9_]*
 
 `[x]i` is a subscripted mark; `[x] i` is the mark juxtaposed with the
-variable i.  Files carry one expression or one `LHS == RHS` assertion per
-line, with `#` starting a comment.
+variable i.  Grouping matters only as an exponent base: `(a b)^([]i)`
+applies the exponent to the juxtaposition, `a b^([]i)` to `b` alone, and
+`()^([]i)` to the void.  Bodies nest at most MAX_DEPTH deep.  Files carry
+one expression or one `LHS == RHS` assertion per line, with `#` starting a
+comment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
 
 PLAIN = ""
+MAX_DEPTH = 200  # nested bodies: marks, tuple slots, exponents and groups
 IMAGINARY_SUBS = ("i", "j", "k")
 MARK_SUBS = (PLAIN,) + IMAGINARY_SUBS
 
@@ -71,6 +76,13 @@ class Juxt:
 class Tuple4:
     slots: tuple["Expr", "Expr", "Expr", "Expr"]
 
+    def __post_init__(self) -> None:
+        if len(self.slots) != 4:
+            raise ValueError(f"a tuple has 4 slots, not {len(self.slots)}")
+        bad = next((s for s in self.slots if not is_lof_expr(s)), None)
+        if bad is not None:
+            raise ValueError(f"tuple slot is not a plain-LoF expression: {bad!r}")
+
 
 @dataclass(frozen=True)
 class Power:
@@ -111,14 +123,6 @@ def juxt(*parts: Expr) -> Expr:
     return Juxt(tuple(flat))
 
 
-def tuple4(a: Expr, b: Expr, c: Expr, d: Expr) -> Tuple4:
-    t = Tuple4((a, b, c, d))
-    bad = next((s for s in t.slots if not is_lof_expr(s)), None)
-    if bad is not None:
-        raise ValueError(f"tuple slot is not a plain-LoF expression: {bad!r}")
-    return t
-
-
 def power(sub: str, body: Expr, exponent: int) -> Expr:
     if sub not in MARK_SUBS:
         raise ValueError(f"bad mark subscript {sub!r}")
@@ -153,6 +157,7 @@ class _Parser:
         self.text = text
         self.pos = 0
         self.offset = offset  # for spans relative to an enclosing file
+        self.depth = 0
 
     def error(self, message: str, start: int, end: int | None = None) -> ParseError:
         end = start + 1 if end is None else end
@@ -170,19 +175,25 @@ class _Parser:
 
     def parse_expr(self, stop: str = "") -> Expr:
         """A juxtaposition of items, ending at EOF or a character in stop."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise self.error("input is nested too deeply", self.pos)
         items: list[Expr] = []
         while True:
             self.skip_ws()
             ch = self.peek()
             if not ch or ch in stop:
                 break
-            items.append(self.parse_item(stop))
+            items.append(self.parse_item())
+        self.depth -= 1
         return juxt(*items)
 
-    def parse_item(self, stop: str) -> Expr:
+    def parse_item(self) -> Expr:
         ch = self.peek()
         if ch == "[":
             item = self.parse_mark()
+        elif ch == "(":
+            item = self.parse_group()
         elif ch == "{":
             item = self.parse_tuple()
         elif ch in _IDENT_START:
@@ -228,6 +239,15 @@ class _Parser:
             return power(sub, body, exponent)
         return mark(body, sub)
 
+    def parse_group(self) -> Expr:
+        start = self.pos
+        self.pos += 1  # consume (
+        body = self.parse_expr(stop=")")
+        if self.peek() != ")":
+            raise self.error("unbalanced parenthesis", start, self.pos)
+        self.pos += 1
+        return body
+
     def parse_tuple(self) -> Expr:
         start = self.pos
         self.pos += 1  # consume {
@@ -248,12 +268,12 @@ class _Parser:
                 start,
                 self.pos,
             )
-        for slot in slots:
-            if not is_lof_expr(slot):
-                raise self.error(
-                    "tuple slots must be plain-LoF expressions", start, self.pos
-                )
-        return Tuple4(tuple(slots))
+        try:
+            return Tuple4(tuple(slots))
+        except ValueError:
+            raise self.error(
+                "tuple slots must be plain-LoF expressions", start, self.pos
+            ) from None
 
     def parse_ident(self) -> Expr:
         start = self.pos
@@ -327,8 +347,13 @@ def print_expr(e: Expr) -> str:
     if isinstance(e, Tuple4):
         return "{" + ", ".join(print_expr(s) for s in e.slots) + "}"
     if isinstance(e, ExpApply):
-        return f"{print_expr(e.base)}^({print_expr(e.exponent)})"
+        return f"{_base_text(e.base, print_expr(e.base))}^({print_expr(e.exponent)})"
     raise TypeError(f"not an expression: {e!r}")
+
+
+def _base_text(base: Expr, text: str) -> str:
+    """An exponent base's text, grouped unless it prints as a single item."""
+    return f"({text})" if isinstance(base, (Juxt, Void)) else text
 
 
 # ---------------------------------------------------------------------------
@@ -338,40 +363,28 @@ def print_expr(e: Expr) -> str:
 def ac_canon(e: Expr) -> Expr:
     """Canonical form modulo commutativity of juxtaposition.
 
-    Juxtaposition children are sorted by their printed form, stable on
-    ties.  Printing is not injective (an exponent application whose base is
-    a juxtaposition prints like a juxtaposition ending in one), so two
-    canonical trees can print alike and still differ.
+    Juxtaposition children are sorted by their canonical_text, stable on
+    ties.  canonical_text(e) is the printed form of this tree and is what
+    the library compares; this tree is the reference that tests check the
+    key against.
     """
-    if isinstance(e, Mark):
-        return Mark(e.sub, ac_canon(e.body))
-    if isinstance(e, Power):
-        return Power(e.sub, ac_canon(e.body), e.exponent)
+    kids = children(e)
     if isinstance(e, Juxt):
-        return Juxt(tuple(ac_canon(p) for p in sorted(e.parts, key=canonical_text)))
-    if isinstance(e, Tuple4):
-        return Tuple4(tuple(ac_canon(s) for s in e.slots))
-    if isinstance(e, ExpApply):
-        return ExpApply(ac_canon(e.base), ac_canon(e.exponent))
-    return e
+        kids = sorted(kids, key=canonical_text)
+    return with_children(e, [ac_canon(k) for k in kids])
 
 
 def ac_equal(a: Expr, b: Expr) -> bool:
-    """Structural equality up to juxtaposition reordering.
-
-    Unequal keys settle almost every call.  Equal keys are confirmed
-    structurally, and on the canonical trees unless the terms are equal as
-    they stand, because printing is not injective (see ac_canon).
-    """
-    return canonical_text(a) == canonical_text(b) and (a == b or ac_canon(a) == ac_canon(b))
+    """Structural equality up to juxtaposition reordering."""
+    return canonical_text(a) == canonical_text(b)
 
 
 def canonical_text(e: Expr) -> str:
     """print_expr(ac_canon(e)), built from the children's keys.
 
-    The key is cached on the node outside its dataclass fields, so
-    equality, hashing and repr are unaffected and shared subterms are
-    keyed once.
+    Printing is injective, so equal keys mean equal canonical trees.  The
+    key is cached on the node outside its dataclass fields, so equality,
+    hashing and repr are unaffected and shared subterms are keyed once.
     """
     key = e.__dict__.get("_canonical_text")
     if key is not None:
@@ -389,7 +402,7 @@ def canonical_text(e: Expr) -> str:
     elif isinstance(e, Tuple4):
         key = "{" + ", ".join(canonical_text(s) for s in e.slots) + "}"
     elif isinstance(e, ExpApply):
-        key = f"{canonical_text(e.base)}^({canonical_text(e.exponent)})"
+        key = f"{_base_text(e.base, canonical_text(e.base))}^({canonical_text(e.exponent)})"
     else:
         raise TypeError(f"not an expression: {e!r}")
     object.__setattr__(e, "_canonical_text", key)
@@ -406,6 +419,25 @@ def children(e: Expr) -> tuple[Expr, ...]:
     if isinstance(e, ExpApply):
         return (e.base, e.exponent)
     return ()
+
+
+def with_children(e: Expr, kids: Sequence[Expr]) -> Expr:
+    """e rebuilt over new children, given in the order of children(e).
+
+    Juxtapositions are renormalized; a tuple whose slots are not plain LoF
+    raises ValueError.
+    """
+    if isinstance(e, Mark):
+        return Mark(e.sub, kids[0])
+    if isinstance(e, Power):
+        return Power(e.sub, kids[0], e.exponent)
+    if isinstance(e, Juxt):
+        return juxt(*kids)
+    if isinstance(e, Tuple4):
+        return Tuple4(tuple(kids))
+    if isinstance(e, ExpApply):
+        return ExpApply(*kids)
+    return e
 
 
 def free_vars(e: Expr) -> tuple[set[str], set[str]]:
@@ -441,16 +473,4 @@ def substitute(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
     """Replace free variables by expressions, renormalizing juxtapositions."""
     if isinstance(e, Var):
         return bindings.get(e.name, e)
-    if isinstance(e, Mark):
-        return Mark(e.sub, substitute(e.body, bindings))
-    if isinstance(e, Power):
-        return Power(e.sub, substitute(e.body, bindings), e.exponent)
-    if isinstance(e, Juxt):
-        return juxt(*(substitute(p, bindings) for p in e.parts))
-    if isinstance(e, Tuple4):
-        return tuple4(*(substitute(s, bindings) for s in e.slots))
-    if isinstance(e, ExpApply):
-        return ExpApply(
-            substitute(e.base, bindings), substitute(e.exponent, bindings)
-        )
-    return e
+    return with_children(e, [substitute(c, bindings) for c in children(e)])

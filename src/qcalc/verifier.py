@@ -687,13 +687,13 @@ class AssertionReport:
         return "\n".join(lines) if lines else "  (no assertions)"
 
 
-def check_assertions(text: str, budget: int | None = None) -> AssertionReport:
+def check_assertions(text: str) -> AssertionReport:
     """Check every `LHS == RHS` line of a .qlf file body."""
     checks = []
     for line in parse_qlf(text):
         if line.rhs is None:
             continue
-        res = check_equiv(line.lhs, line.rhs, budget=budget)
+        res = check_equiv(line.lhs, line.rhs)
         checks.append(
             LawCheck(
                 f"L{line.lineno}",

@@ -8,11 +8,11 @@ from qcalc.textio import (
     VOID,
     ExpApply,
     Expr,
+    Tuple4,
     Var,
     juxt,
     mark,
     power,
-    tuple4,
 )
 
 qvalues = st.sampled_from(ALL_QVALUES)
@@ -37,7 +37,7 @@ q_exprs = st.recursive(
     st.one_of(
         st.just(VOID),
         st.sampled_from([Var(n) for n in Q_VARS]),
-        st.builds(tuple4, lof_exprs, lof_exprs, lof_exprs, lof_exprs),
+        st.builds(Tuple4, st.tuples(lof_exprs, lof_exprs, lof_exprs, lof_exprs)),
     ),
     lambda children: st.one_of(
         st.builds(lambda b, s: mark(b, s), children, st.sampled_from(["", "i", "j", "k"])),
@@ -90,7 +90,7 @@ def random_q_expr(rng: random.Random, depth: int = 4) -> Expr:
     if kind == 1:
         return Var(rng.choice(Q_VARS))
     if kind == 2:
-        return tuple4(*(random_lof_expr(rng, 2) for _ in range(4)))
+        return Tuple4(tuple(random_lof_expr(rng, 2) for _ in range(4)))
     if kind == 3:
         return mark(random_q_expr(rng, depth - 1), rng.choice(["", "i", "j", "k"]))
     if kind == 4:

@@ -48,11 +48,6 @@ class TestEquiv:
         assert code == 2
         assert "at 0.." in err
 
-    def test_budget_flag(self, capsys):
-        code, _, err = run(capsys, "--budget", "16", "equiv", "A B == ")
-        assert code == 2
-        assert "budget" in err
-
     def test_jobs_flag_is_gone(self, capsys):
         code, out, err = run(capsys, "--jobs", "2", "equiv", "A == A")
         assert code == 2
@@ -60,10 +55,12 @@ class TestEquiv:
         assert "usage: qcalc" in err
         assert "--jobs" not in run(capsys, "--help")[1]
 
-    def test_budget_must_be_at_least_sixteen(self, capsys):
-        code, _, err = run(capsys, "--budget", "8", "equiv", "A == A")
+    def test_budget_flag_is_gone(self, capsys):
+        code, out, err = run(capsys, "--budget", "16", "equiv", "A == A")
         assert code == 2
-        assert "budget" in err
+        assert out == ""
+        assert "usage: qcalc" in err
+        assert "--budget" not in run(capsys, "--help")[1]
 
     def test_file_mode(self, capsys, tmp_path):
         path = tmp_path / "laws.qlf"
@@ -209,7 +206,15 @@ def test_deep_nesting_is_a_usage_error(capsys):
     code, out, err = run(capsys, "equiv", f"{deep} == A")
     assert code == 2
     assert out == ""
-    assert err == "error: input is nested too deeply\n"
+    assert err == "error: input is nested too deeply (at 200..201)\n"
+
+
+def test_env_budget_reaches_law_suites(capsys, monkeypatch):
+    monkeypatch.setenv("QCALC_BUDGET", "16")
+    code, out, err = run(capsys, "laws", "lof_appendix_a")
+    assert code == 2
+    assert out == ""
+    assert "budget" in err
 
 
 def test_malformed_env_budget_is_a_usage_error(capsys, monkeypatch):

@@ -80,11 +80,11 @@ class TestApplyRule:
 
     def test_positions_of_substituted_exponent_base_follow_its_printed_key(self):
         # substitute builds (b a)^([]i); it is addressed by its key, the
-        # printed "a b^([]i)", so it sorts after "a".
+        # grouped "(a b)^([]i)", so it sorts before "[c]" and "a".
         built = substitute(parse("X^([]i)"), {"X": parse("b a")})
         e = juxt(built, Var("a"), parse("[c]"))
-        assert [print_expr(child_at(e, (i,))) for i in range(3)] == ["[c]", "a", "b a^([]i)"]
-        assert print_expr(child_at(e, (2, 0, 0))) == "a"
+        assert [print_expr(child_at(e, (i,))) for i in range(3)] == ["(b a)^([]i)", "[c]", "a"]
+        assert print_expr(child_at(e, (0, 0, 0))) == "a"
 
     def test_inner_position(self):
         e = parse("[[x]] y")
@@ -170,6 +170,17 @@ class TestDerivations:
 
     def test_json_roundtrip(self):
         d = self._toy()
+        again = Derivation.loads(d.dumps())
+        assert again == d
+        assert check_derivation(again).ok
+
+    def test_json_roundtrip_keeps_juxtaposed_exponent_base(self):
+        start = parse("x^([]i)")
+        built = apply_rule(start, "A7-Iteration", "rtl", (0,), {"A": "x"})
+        assert print_expr(built) == "(x x)^([]i)"
+        d = Derivation(
+            "a7", start, (Step("A7-Iteration", "rtl", (0,), {"A": Var("x")}, {}, built),), built
+        )
         again = Derivation.loads(d.dumps())
         assert again == d
         assert check_derivation(again).ok

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import exp_exprs, q_exprs, random_q_expr
 from qcalc.textio import (
+    MAX_DEPTH,
     ExpApply,
     Juxt,
     Mark,
@@ -17,30 +18,23 @@ from qcalc.textio import (
     ac_canon,
     ac_equal,
     canonical_text,
+    children,
     free_vars,
     parse,
     parse_assertion,
     parse_qlf,
     print_expr,
     substitute,
+    with_children,
 )
 
 
 def _shuffled(e, rnd: random.Random):
     """e rebuilt with every juxtaposition's children in a random order."""
-    if isinstance(e, Mark):
-        return Mark(e.sub, _shuffled(e.body, rnd))
-    if isinstance(e, Power):
-        return Power(e.sub, _shuffled(e.body, rnd), e.exponent)
+    kids = [_shuffled(k, rnd) for k in children(e)]
     if isinstance(e, Juxt):
-        parts = [_shuffled(p, rnd) for p in e.parts]
-        rnd.shuffle(parts)
-        return Juxt(tuple(parts))
-    if isinstance(e, Tuple4):
-        return Tuple4(tuple(_shuffled(s, rnd) for s in e.slots))
-    if isinstance(e, ExpApply):
-        return ExpApply(_shuffled(e.base, rnd), _shuffled(e.exponent, rnd))
-    return e
+        rnd.shuffle(kids)
+    return with_children(e, kids)
 
 
 class TestParse:
@@ -64,6 +58,12 @@ class TestParse:
         e = parse("{a, b, c, d}^([]i)")
         assert isinstance(e, ExpApply)
         assert e.exponent == Mark("i", Void())
+
+    def test_grouping(self):
+        assert parse("(a b)^([]i)") == ExpApply(Juxt((Var("a"), Var("b"))), Mark("i", Void()))
+        assert parse("()^([]i)") == ExpApply(Void(), Mark("i", Void()))
+        assert parse("(a) (b c) ()") == parse("a b c")
+        assert parse("a b^([]i)") == Juxt((Var("a"), ExpApply(Var("b"), Mark("i", Void()))))
 
     def test_empty_is_void(self):
         assert parse("") == Void()
@@ -100,6 +100,9 @@ class TestParseErrors:
             "{[x]i, b, c, d}",
             "x^(y",
             "{a, b, c, d",
+            "(a b",
+            "a b)",
+            "(a b)^2",
         ],
     )
     def test_bad_inputs_raise_with_span(self, text):
@@ -107,6 +110,15 @@ class TestParseErrors:
             parse(text)
         span = exc.value.span
         assert 0 <= span.start <= span.end <= len(text)
+
+    def test_nesting_depth_is_bounded(self):
+        # The top level is one of the MAX_DEPTH bodies.
+        depth = MAX_DEPTH - 1
+        assert print_expr(parse("[" * depth + "]" * depth)) == "[" * depth + "]" * depth
+        for opener, closer in (("[", "]"), ("(", ")"), ("X^(", ")")):
+            with pytest.raises(ParseError, match="nested too deeply") as exc:
+                parse(opener * MAX_DEPTH + closer * MAX_DEPTH)
+            assert exc.value.span.start == MAX_DEPTH * len(opener)
 
     def test_assertion_needs_one_separator(self):
         with pytest.raises(ParseError):
@@ -151,6 +163,11 @@ class TestHelpers:
     def test_canonical_text_is_printed_ac_canon(self, e):
         assert canonical_text(e) == print_expr(ac_canon(e))
 
+    @given(exp_exprs)
+    def test_printing_round_trips(self, e):
+        assert parse(print_expr(e)) == e
+        assert parse(canonical_text(e)) == ac_canon(e)
+
     @given(exp_exprs, exp_exprs, st.randoms(use_true_random=False))
     def test_ac_equal_agrees_with_ac_canon(self, a, b, rnd):
         for x, y in ((a, b), (a, _shuffled(a, rnd)), (b, _shuffled(a, rnd))):
@@ -163,11 +180,14 @@ class TestHelpers:
             assert canonical_text(e) == print_expr(ac_canon(e))
 
     def test_juxtaposed_exponent_base_prints_alike_but_is_not_ac_equal(self):
-        built = substitute(parse("X^([]i)"), {"X": parse("a b")})
+        built = substitute(parse("X^([]i)"), {"X": parse("b a")})
         parsed = parse("a b^([]i)")
-        assert canonical_text(built) == canonical_text(parsed) == "a b^([]i)"
+        assert print_expr(built) == "(b a)^([]i)"
+        assert canonical_text(built) == "(a b)^([]i)"
+        assert canonical_text(parsed) == "a b^([]i)"
+        assert parse(print_expr(built)) == built
         assert not ac_equal(built, parsed)
-        assert ac_equal(built, substitute(parse("X^([]i)"), {"X": parse("b a")}))
+        assert ac_equal(built, substitute(parse("X^([]i)"), {"X": parse("a b")}))
 
     def test_cached_key_leaves_equality_hash_and_repr_alone(self):
         e, twin = parse("[b a]i x"), parse("[b a]i x")
@@ -186,6 +206,12 @@ class TestHelpers:
     def test_substitute(self):
         e = substitute(parse("[X]i X"), {"X": parse("a b")})
         assert print_expr(e) == "[a b]i a b"
+
+    def test_tuple_checks_its_slots(self):
+        with pytest.raises(ValueError, match="4 slots"):
+            Tuple4((Var("a"),))
+        with pytest.raises(ValueError, match="plain-LoF"):
+            Tuple4((Var("a"), Mark("i", Void()), Void(), Void()))
 
     def test_substitute_into_tuple_stays_lof(self):
         with pytest.raises(ValueError):
