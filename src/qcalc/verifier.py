@@ -8,12 +8,14 @@ operators act slot-wise, so this enumeration is the same thing as a truth
 table over the underlying two-state variables; the independent oracle in
 ``qcalc.oracle`` checks that claim from the other side.
 
-The enumeration is bit-sliced (Biham, FSE 1997): a value under every
-assignment is four bit-planes with one bit per assignment.  A mark moves
-and complements planes as its signed permutation in ``kernel`` says,
+A value under every assignment is four planes, one per slot, and each
+plane is a BDD over the bits of the assignment index.  A mark moves and
+complements planes as its signed permutation in ``kernel`` says,
 juxtaposition is plane-wise or, and an exponent application selects, per
-assignment, one of the eight operator actions.  The per-assignment
-semantics is exactly ``semantics.evaluate`` (property-tested against it).
+assignment, one of the eight operator actions.  The first counterexample
+is the least row of the difference, and the cost follows the size of the
+terms, not the number of assignments.  The per-assignment semantics is
+exactly ``semantics.evaluate`` (property-tested against it).
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import reduce
 from itertools import permutations
+from operator import itemgetter, xor
 from typing import Iterable, Mapping
 
 from .kernel import (
@@ -103,21 +107,120 @@ def _var_spec(exprs: Iterable[Expr]) -> tuple[tuple[str, int], ...]:
     )
 
 
-# Rows per block, as a power of two.  A plane of 2^18 bits (32 KiB) stays
-# in cache and its memory is reused; at 16^6 rows a whole-range plane is
-# 2 MiB, and fresh pages for it cost more than the bitwise work.
-_BLOCK_BITS = 18
+# A BDD edge is an int, (node << 1) | complemented; node 0 is the TRUE
+# terminal, so edge 0 is TRUE, edge 1 is FALSE and NOT is ``e ^ 1``.
+TRUE, FALSE = 0, 1
+
+
+class _BDD:
+    """A reduced ordered BDD with complement edges (Bryant, IEEE Trans.
+    Computers C-35(8), 1986; Brace, Rudell & Bryant, DAC 1990) for one
+    check.  ``nodes[n]`` is (level, high, low), level 0 on top: node n goes
+    to high if that level's bit is set, else to low.  A stored low edge is
+    never complemented, so equal functions get the same edge.
+    """
+
+    def __init__(self, levels: int) -> None:
+        self.levels = levels
+        # Node 1 + v is the variable at level v; the terminal's level sorts
+        # below every variable's.
+        self.nodes = [(levels, TRUE, TRUE)]
+        self.nodes += [(v, FALSE, TRUE) for v in range(levels)]
+        self.unique = {key: n for n, key in enumerate(self.nodes)}
+        self.and_cache: dict[tuple[int, int], int] = {}
+        self.xor_cache: dict[tuple[int, int], int] = {}
+
+    def var(self, v: int) -> int:
+        """The function that is true where the bit at level v is set."""
+        return (v + 1) << 1 | 1
+
+    def _split(self, op, f: int, g: int) -> int:
+        # Shannon expansion of op(f, g) on the top level of f and g.
+        fv, fh, fl = self.nodes[f >> 1]
+        gv, gh, gl = self.nodes[g >> 1]
+        v = fv if fv < gv else gv
+        fh, fl = (fh ^ (f & 1), fl ^ (f & 1)) if fv == v else (f, f)
+        gh, gl = (gh ^ (g & 1), gl ^ (g & 1)) if gv == v else (g, g)
+        high, low = op(fh, gh), op(fl, gl)
+        if high == low:
+            return low
+        flip = low & 1
+        key = (v, high ^ flip, low ^ flip)
+        n = self.unique.get(key)
+        if n is None:
+            n = self.unique[key] = len(self.nodes)
+            self.nodes.append(key)
+        return n << 1 | flip
+
+    def and_(self, f: int, g: int) -> int:
+        if f > g:
+            f, g = g, f
+        if f == TRUE or f == g:
+            return g
+        if f == FALSE or f ^ g == 1:
+            return FALSE
+        r = self.and_cache.get((f, g))
+        if r is None:
+            r = self.and_cache[f, g] = self._split(self.and_, f, g)
+        return r
+
+    def or_(self, f: int, g: int) -> int:
+        return self.and_(f ^ 1, g ^ 1) ^ 1
+
+    def xor(self, f: int, g: int) -> int:
+        # Complements factor out: xor(f ^ 1, g) = xor(f, g) ^ 1.
+        flip = (f ^ g) & 1
+        f &= -2
+        g &= -2
+        if f > g:
+            f, g = g, f
+        if f == g:
+            return FALSE ^ flip
+        if f == TRUE:
+            return g ^ 1 ^ flip
+        r = self.xor_cache.get((f, g))
+        if r is None:
+            r = self.xor_cache[f, g] = self._split(self.xor, f, g)
+        return r ^ flip
+
+    def least(self, f: int) -> int:
+        """The least row where f (not FALSE) holds: 0-branches first."""
+        row = 0
+        while f > FALSE:
+            v, high, low = self.nodes[f >> 1]
+            flip = f & 1
+            f = low ^ flip
+            if f == FALSE:
+                row |= 1 << (self.levels - 1 - v)
+                f = high ^ flip
+        return row
+
+    def at(self, f: int, row: int) -> bool:
+        """f's value at one row."""
+        while f > FALSE:
+            v, high, low = self.nodes[f >> 1]
+            f = (high if row >> (self.levels - 1 - v) & 1 else low) ^ (f & 1)
+        return f == TRUE
+
+
+# Each operator's signed permutation: the planes it reads and complements.
+_ROUTES = {
+    g: (itemgetter(*(t - 1 for t in q8_to_signed_perm(g).target)),
+        q8_to_signed_perm(g).marked)
+    for g in Q8Op
+}
 
 
 class _Planes:
-    """Bit-sliced evaluation under every assignment of a block at once.
+    """Evaluation under every assignment at once.
 
-    A value is four bit-planes, slots a to d; bit r of a plane is the
-    slot's state in row r of the block, and row r of the block starting at
-    ``start`` is assignment index start + r.  Each variable owns a field of
-    the row index, the first sorted variable the most significant: four
-    bits for a tuple variable, its value's bits with slot a highest, and
-    one bit for a slot variable.
+    A value is four planes, slots a to d; a plane is a BDD edge, the
+    function of the row index that gives the slot's state in each row, and
+    row r is assignment index r.  Each variable owns a field of the row
+    index, the first sorted variable the most significant: four bits for a
+    tuple variable, its value's bits with slot a highest, and one bit for a
+    slot variable.  Row bit k is BDD level bits - 1 - k, so the first
+    sorted variable is on top and the least path is the first row.
     """
 
     def __init__(self, spec: tuple[tuple[str, int], ...]) -> None:
@@ -127,25 +230,11 @@ class _Planes:
         for name, dom in reversed(spec):
             self.offset[name] = bits
             bits += dom.bit_length() - 1
-        self.low = min(bits, _BLOCK_BITS)
-        self.rows = 1 << self.low
-        self.full = (1 << self.rows) - 1
-        # masks[k] is the set of rows whose index has bit k set.  Within a
-        # block each is derived from the next one up,
-        # x_k = x_(k+1) ^ (x_(k+1) >> 2^k); above the block size it is
-        # all rows or none, set by `start_block`.
-        self.masks = [0] * bits
-        m = self.full ^ ((1 << (self.rows >> 1)) - 1)
-        for k in reversed(range(self.low)):
-            self.masks[k] = m
-            m ^= m >> (1 << k >> 1)
-        self.bad = 0
-
-    def start_block(self, start: int) -> None:
-        for k in range(self.low, len(self.masks)):
-            self.masks[k] = self.full if (start >> k) & 1 else 0
+        self.bdd = _BDD(bits)
+        # masks[k] is the set of rows whose index has bit k set.
+        self.masks = [self.bdd.var(bits - 1 - k) for k in range(bits)]
         # Rows where an exponent is not an operator value.
-        self.bad = 0
+        self.bad = FALSE
 
     def assignment(self, row: int) -> dict[str, QValue | bool]:
         env: dict[str, QValue | bool] = {}
@@ -156,29 +245,25 @@ class _Planes:
 
     def route(self, g: Q8Op, planes: tuple[int, ...]) -> tuple[int, ...]:
         """The operator g on planes, read off its signed permutation."""
-        perm = q8_to_signed_perm(g)
-        return tuple(
-            planes[t - 1] ^ self.full if m else planes[t - 1]
-            for t, m in zip(perm.target, perm.marked)
-        )
+        pick, flips = _ROUTES[g]
+        return tuple(map(xor, pick(planes), flips))
 
     def value(self, e: Expr) -> tuple[int, ...]:
         if isinstance(e, Void):
-            return (0, 0, 0, 0)
+            return (FALSE, FALSE, FALSE, FALSE)
         if isinstance(e, Var):
             base = self.offset[e.name]
-            return tuple(self.masks[base + 3 - s] for s in range(4))
+            return tuple(reversed(self.masks[base:base + 4]))
         if isinstance(e, Mark):
             return self.route(MARK_OPS[e.sub], self.value(e.body))
         if isinstance(e, Power):
             g = q8_power(MARK_OPS[e.sub], e.exponent)
             return self.route(g, self.value(e.body))
         if isinstance(e, Juxt):
-            out = list(self.value(e.parts[0]))
+            out = self.value(e.parts[0])
             for p in e.parts[1:]:
-                for s, plane in enumerate(self.value(p)):
-                    out[s] |= plane
-            return tuple(out)
+                out = tuple(map(self.bdd.or_, out, self.value(p)))
+            return out
         if isinstance(e, Tuple4):
             return tuple(self.slot(s) for s in e.slots)
         if isinstance(e, ExpApply):
@@ -186,33 +271,30 @@ class _Planes:
             # value of g take the base routed by g.
             exp = self.value(e.exponent)
             base = self.value(e.base)
-            inverted = tuple(self.full ^ p for p in exp)
-            out = [0, 0, 0, 0]
-            covered = 0
+            bdd = self.bdd
+            out = [FALSE] * 4
+            covered = FALSE
             for g in Q8Op:
-                sel = self.full
-                for p, q, bit in zip(exp, inverted, op_value(g).slots):
-                    sel &= p if bit else q
-                if sel:
-                    covered |= sel
+                sel = TRUE
+                for p, bit in zip(exp, op_value(g).slots):
+                    sel = bdd.and_(sel, p if bit else p ^ 1)
+                if sel != FALSE:
+                    covered = bdd.or_(covered, sel)
                     for s, plane in enumerate(self.route(g, base)):
-                        out[s] |= plane & sel
-            self.bad |= self.full ^ covered
+                        out[s] = bdd.or_(out[s], bdd.and_(plane, sel))
+            self.bad = bdd.or_(self.bad, covered ^ 1)
             return tuple(out)
         raise TypeError(f"not an expression: {e!r}")
 
     def slot(self, e: Expr) -> int:
         if isinstance(e, Void):
-            return 0
+            return FALSE
         if isinstance(e, Var):
             return self.masks[self.offset[e.name]]
         if isinstance(e, Mark):
-            return self.full ^ self.slot(e.body)
+            return self.slot(e.body) ^ 1
         if isinstance(e, Juxt):
-            out = self.slot(e.parts[0])
-            for p in e.parts[1:]:
-                out |= self.slot(p)
-            return out
+            return reduce(self.bdd.or_, map(self.slot, e.parts))
         raise TypeError(f"not a plain-LoF expression: {print_expr(e)}")
 
 
@@ -241,24 +323,20 @@ def check_equiv(
         raise BudgetExceeded(len(spec), count, limit)
 
     planes = _Planes(spec)
-    for start in range(0, count, planes.rows):
-        planes.start_block(start)
-        diff = 0
-        for x, y in zip(planes.value(a), planes.value(b)):
-            diff |= x ^ y
-        hits = diff | planes.bad
-        if hits == 0:
-            continue
-        row = (hits & -hits).bit_length() - 1
-        env = planes.assignment(start + row)
-        if (planes.bad >> row) & 1:
-            # evaluate raises here, with the error the scalar semantics
-            # give this assignment.
-            evaluate(a, env)
-            evaluate(b, env)
-            raise AssertionError(f"row {start + row} has a bad exponent but evaluates")
-        return EquivResult(False, env, start + row + 1)
-    return EquivResult(True, None, count)
+    bdd = planes.bdd
+    sides = planes.value(a), planes.value(b)
+    hits = reduce(bdd.or_, map(bdd.xor, *sides), planes.bad)
+    if hits == FALSE:
+        return EquivResult(True, None, count)
+    row = bdd.least(hits)
+    env = planes.assignment(row)
+    if bdd.at(planes.bad, row):
+        # evaluate raises here, with the error the scalar semantics give
+        # this assignment.
+        evaluate(a, env)
+        evaluate(b, env)
+        raise AssertionError(f"row {row} has a bad exponent but evaluates")
+    return EquivResult(False, env, row + 1)
 
 
 def env_patterns(env: Mapping[str, QValue | bool] | None) -> dict[str, str] | None:

@@ -2,7 +2,6 @@ import json
 import subprocess
 import sys
 from itertools import product
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -138,44 +137,52 @@ class TestCheckEquiv:
     @given(exp_exprs, st.randoms(use_true_random=False))
     @settings(max_examples=100, deadline=None)
     def test_planes_agree_with_evaluate(self, e, rnd):
-        # Each row of the bit-sliced value is the value evaluate gives for
-        # that row's assignment, and the bad rows are exactly those where
-        # evaluate raises BadExponentValue.  Every row is checked up to 256
-        # rows, a sample of 128 above.
-        planes = _Planes(_var_spec((e,)))
+        # Each row of the planes is the value evaluate gives for that row's
+        # assignment, and the bad rows are exactly those where evaluate
+        # raises BadExponentValue.  Every row is checked up to 256 rows, a
+        # sample of 128 above.
+        spec = _var_spec((e,))
+        planes = _Planes(spec)
         value = planes.value(e)
-        rows = range(planes.rows)
-        if planes.rows > 256:
+        at = planes.bdd.at
+        rows = range(_count(spec))
+        if len(rows) > 256:
             rows = rnd.sample(rows, 128)
         for row in rows:
             env = planes.assignment(row)
-            bits = sum(((p >> row) & 1) << (3 - s) for s, p in enumerate(value))
+            bits = sum(at(p, row) << (3 - s) for s, p in enumerate(value))
             try:
                 want = evaluate(e, env)
             except BadExponentValue:
-                assert (planes.bad >> row) & 1
+                assert at(planes.bad, row)
             else:
-                assert not (planes.bad >> row) & 1
+                assert not at(planes.bad, row)
                 assert bits == want.bits
 
-    @pytest.mark.parametrize("block_bits", [verifier._BLOCK_BITS, 3])
+    @pytest.mark.parametrize("budget_bits", [18, 3])
     @given(exp_exprs, exp_exprs, st.sampled_from(Q_VARS), st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_check_equiv_matches_scalar_loop(self, block_bits, a, c, name, related):
-        # Block sizes below the row count check the block-by-block search.
+    def test_check_equiv_matches_scalar_loop(self, budget_bits, a, c, name, related):
+        # A budget of 2^18 rows decides every pair drawn here; one of 8 rows
+        # refuses the larger ones before any row is evaluated, a bad
+        # exponent included, and decides the rest.
         b = substitute(a, {name: c}) if related else c
         spec = _var_spec((a, b))
+        budget = 1 << budget_bits
         if _count(spec) > 4096:
             return
-        with mock.patch.object(verifier, "_BLOCK_BITS", block_bits):
-            try:
-                first = _scalar_first_difference(spec, a, b)
-            except BadExponentValue as err:
-                with pytest.raises(BadExponentValue) as got:
-                    check_equiv(a, b)
-                assert got.value.value == err.value
-                return
-            res = check_equiv(a, b)
+        if _count(spec) > budget:
+            with pytest.raises(BudgetExceeded):
+                check_equiv(a, b, budget=budget)
+            return
+        try:
+            first = _scalar_first_difference(spec, a, b)
+        except BadExponentValue as err:
+            with pytest.raises(BadExponentValue) as got:
+                check_equiv(a, b, budget=budget)
+            assert got.value.value == err.value
+            return
+        res = check_equiv(a, b, budget=budget)
         if first is None:
             assert (res.equivalent, res.counterexample) == (True, None)
             assert res.assignments_checked == _count(spec)
@@ -211,6 +218,90 @@ class TestCheckEquiv:
         res = check_equiv("X^([Y] Y)", "[X]")
         assert res.equivalent
         assert res.assignments_checked == 256
+
+    # Q9 and Q10 with A, B and C each a juxtaposition of four tuple
+    # variables: 12 variables, 16^12 rows, past the default budget.
+    WIDE = {"A": "A1 A2 A3 A4", "B": "B1 B2 B3 B4", "C": "C1 C2 C3 C4"}
+    Q9 = ("[[{A}]i^3 [{B}]i^3]i {C}", "[[{A} {C}]i^3 [{B} {C}]i^3]i")
+    Q10 = ("{C} [[{A}]j^3 [{B}]j^3]j", "[[{C} {A}]j^3 [{C} {B}]j^3]j")
+
+    @pytest.mark.parametrize("law", [Q9, Q10], ids=["Q9", "Q10"])
+    def test_twelve_variable_laws_hold(self, law):
+        lhs, rhs = (side.format(**self.WIDE) for side in law)
+        res = check_equiv(lhs, rhs, budget=16 ** 12)
+        assert res.equivalent
+        assert res.assignments_checked == 16 ** 12
+
+    def test_twelve_variable_late_mutant(self):
+        # A1 juxtaposed into [B C]i^3 changes nothing while A1 is UUUU, and
+        # A1 owns the top four bits of the row index.
+        lhs, rhs = (side.format(**self.WIDE) for side in self.Q9)
+        rhs = rhs.replace("C4]i^3]", "C4 A1]i^3]")
+        res = check_equiv(lhs, rhs, budget=16 ** 12)
+        assert not res.equivalent
+        assert res.assignments_checked == 16 ** 11 + 1
+        names = sorted(f"{v}{k}" for v in "ABC" for k in range(1, 5))
+        assert res.counterexample == {n: QValue(n == "A1") for n in names}
+        env = res.counterexample
+        assert evaluate(parse(lhs), env) != evaluate(parse(rhs), env)
+
+    def test_twelve_variable_early_mutant(self):
+        lhs, rhs = (side.format(**self.WIDE) for side in self.Q9)
+        res = check_equiv(lhs.replace("]i ", "]j "), rhs, budget=16 ** 12)
+        assert not res.equivalent
+        assert res.assignments_checked == 1
+        assert set(res.counterexample.values()) == {QValue(0)}
+
+
+# A random formula: a level, or ("not", f), or (op, f, g).
+_formulas = st.recursive(
+    st.integers(0, 7),
+    lambda sub: st.one_of(
+        st.tuples(st.just("not"), sub),
+        st.tuples(st.sampled_from(["and", "or", "xor"]), sub, sub),
+    ),
+    max_leaves=12,
+)
+
+
+class TestBDD:
+    @given(st.integers(1, 8), st.lists(_formulas, min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_manager_matches_truth_tables(self, levels, formulas):
+        # Each formula is built twice, as a BDD edge and as a truth table:
+        # bit r of the table is the value at row r, and row bit k is level
+        # levels - 1 - k.
+        bdd = verifier._BDD(levels)
+        rows = 1 << levels
+        full = (1 << rows) - 1
+
+        def build(f):
+            if isinstance(f, int):
+                v = f % levels
+                table = sum(1 << r for r in range(rows) if r >> (levels - 1 - v) & 1)
+                return bdd.var(v), table
+            if f[0] == "not":
+                edge, table = build(f[1])
+                return edge ^ 1, full ^ table
+            (e, s), (g, t) = build(f[1]), build(f[2])
+            if f[0] == "and":
+                return bdd.and_(e, g), s & t
+            if f[0] == "or":
+                return bdd.or_(e, g), s | t
+            return bdd.xor(e, g), s ^ t
+
+        built = [build(f) for f in formulas]
+        built += [(verifier.TRUE, full), (verifier.FALSE, 0)]
+        for edge, table in built:
+            assert [bdd.at(edge, r) for r in range(rows)] == [
+                bool(table >> r & 1) for r in range(rows)
+            ]
+            if table:
+                assert bdd.least(edge) == (table & -table).bit_length() - 1
+        # Canonicity: equal functions, equal edges.
+        for edge, table in built:
+            for other, other_table in built:
+                assert (edge == other) == (table == other_table)
 
 
 class TestLawSuites:
