@@ -96,7 +96,6 @@ from .braid import (
 )
 from .constructor import (
     INTERFERENCE_NAMES,
-    SlotPermutation,
     interference,
     interference_expr,
     mark_slot,

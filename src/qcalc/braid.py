@@ -126,12 +126,8 @@ def gen_to_signed_perm(gen: BraidGen, arity: int) -> SignedPerm:
     target = list(range(1, arity + 1))
     marked = [False] * arity
     k = gen.index - 1
-    if gen.sign > 0:
-        target[k], target[k + 1] = k + 2, k + 1
-        marked[k] = True
-    else:
-        target[k], target[k + 1] = k + 2, k + 1
-        marked[k + 1] = True
+    target[k], target[k + 1] = k + 2, k + 1
+    marked[k if gen.sign > 0 else k + 1] = True
     return SignedPerm(tuple(target), tuple(marked))
 
 

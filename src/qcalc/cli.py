@@ -1,7 +1,10 @@
 """Command-line front end.
 
 Subcommands: parse, eval, equiv, laws, distribution, group-table,
-braid {compose,verify,diagram}, check-derivation, construct.
+braid {compose,verify,diagram}, check-derivation, construct.  Each
+subcommand returns (payload, text, ok): the JSON document, the text output
+and whether every requested check passed; ``main`` alone prints one of the
+first two, as ``--format`` says, after the result is complete.
 Exit codes: 0 when every requested check passes, 1 when a check fails,
 2 on usage or syntax errors (reported to stderr with the input span).
 """
@@ -21,13 +24,8 @@ from .braid import (
     verify_braid_relations,
     word_to_text,
 )
-from .constructor import (
-    SlotPermutation,
-    mark_slot,
-    permute_expr,
-    verify_construction,
-)
-from .kernel import Q8Op, QValue, q8_mul
+from .constructor import mark_slot, permute_expr, verify_construction
+from .kernel import Q8Op, QValue, SignedPerm, q8_mul
 from .rewrite import Derivation, check_derivation
 from .semantics import EvalError, evaluate
 from .textio import ParseError, parse, parse_assertion, parse_qlf, print_expr
@@ -39,14 +37,9 @@ from .verifier import (
     check_equiv,
     distribution_matrix,
     env_patterns,
-    report_to_json_text,
     run_law_suite,
     distribution_demos,
 )
-
-
-def _emit_json(payload) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
 
 
 def _parse_env(text: str) -> dict:
@@ -70,50 +63,38 @@ def _parse_env(text: str) -> dict:
     return env
 
 
-def _cmd_parse(args) -> int:
-    text = Path(args.file).read_text()
-    lines_out = []
-    for line in parse_qlf(text):
+def _report(r):
+    return r.to_json(), r.render(), r.all_hold
+
+
+def _cmd_parse(args):
+    lines = []
+    for line in parse_qlf(Path(args.file).read_text()):
         if line.rhs is None:
-            lines_out.append({"line": line.lineno, "expr": print_expr(line.lhs)})
+            lines.append({"line": line.lineno, "expr": print_expr(line.lhs)})
         else:
-            lines_out.append(
+            lines.append(
                 {
                     "line": line.lineno,
                     "lhs": print_expr(line.lhs),
                     "rhs": print_expr(line.rhs),
                 }
             )
-    if args.format == "json":
-        _emit_json({"lines": lines_out})
-    else:
-        for entry in lines_out:
-            if "expr" in entry:
-                print(entry["expr"])
-            else:
-                print(f"{entry['lhs']} == {entry['rhs']}")
-    return 0
+    text = "\n".join(
+        e["expr"] if "expr" in e else f"{e['lhs']} == {e['rhs']}" for e in lines
+    )
+    return {"lines": lines}, text, True
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args):
     expr = parse(args.expr)
-    env = _parse_env(args.env or "")
-    value = evaluate(expr, env)
-    if args.format == "json":
-        _emit_json({"expr": print_expr(expr), "value": value.pattern()})
-    else:
-        print(value.pattern())
-    return 0
+    value = evaluate(expr, _parse_env(args.env or "")).pattern()
+    return {"expr": print_expr(expr), "value": value}, value, True
 
 
-def _cmd_equiv(args) -> int:
+def _cmd_equiv(args):
     if args.file:
-        report = check_assertions(Path(args.file).read_text())
-        if args.format == "json":
-            print(report_to_json_text(report))
-        else:
-            print(report.render())
-        return 0 if report.all_hold else 1
+        return _report(check_assertions(Path(args.file).read_text()))
     if args.assertion is None:
         raise ValueError("equiv needs an \"LHS == RHS\" argument or --file")
     lhs, rhs = parse_assertion(args.assertion)
@@ -124,110 +105,84 @@ def _cmd_equiv(args) -> int:
         "verdict": result.verdict,
         "assignments_checked": result.assignments_checked,
     }
+    text = result.verdict
     ce = env_patterns(result.counterexample)
     if ce is not None:
         payload["counterexample"] = ce
-    if args.format == "json":
-        _emit_json(payload)
-    else:
-        print(result.verdict)
-        if ce:
-            print("counterexample: " + ", ".join(f"{k}={v}" for k, v in sorted(ce.items())))
-    return 0 if result.equivalent else 1
+    if ce:
+        text += "\ncounterexample: " + ", ".join(
+            f"{k}={v}" for k, v in sorted(ce.items())
+        )
+    return payload, text, result.equivalent
 
 
-def _cmd_laws(args) -> int:
-    report = run_law_suite(args.suite)
-    if args.format == "json":
-        print(report_to_json_text(report))
-    else:
-        print(report.render())
-    return 0 if report.all_hold else 1
+def _cmd_laws(args):
+    return _report(run_law_suite(args.suite))
 
 
-def _cmd_distribution(args) -> int:
+def _cmd_distribution(args):
     report = distribution_matrix()
     demos = distribution_demos()
+    payload = report.to_json()
+    payload["demonstrations"] = demos.to_json()
     ok = report.all_hold and demos.demo1_holds and demos.demo2_resolved == "template"
-    if args.format == "json":
-        payload = report.to_json()
-        payload["demonstrations"] = demos.to_json()
-        _emit_json(payload)
-    else:
-        print(report.render())
-        print(demos.render())
-    return 0 if ok else 1
+    return payload, f"{report.render()}\n{demos.render()}", ok
 
 
-def _cmd_group_table(args) -> int:
+def _cmd_group_table(args):
     ops = list(Q8Op)
-    if args.format == "json":
-        _emit_json(
-            {
-                "elements": [g.symbol for g in ops],
-                "products": {
-                    g.symbol: {h.symbol: q8_mul(g, h).symbol for h in ops}
-                    for g in ops
-                },
-            }
+    payload = {
+        "elements": [g.symbol for g in ops],
+        "products": {
+            g.symbol: {h.symbol: q8_mul(g, h).symbol for h in ops} for g in ops
+        },
+    }
+    width = 4
+    rows = [" " * width + "".join(f"{h.symbol:>{width}}" for h in ops)]
+    for g in ops:
+        rows.append(
+            f"{g.symbol:>{width}}"
+            + "".join(f"{q8_mul(g, h).symbol:>{width}}" for h in ops)
         )
-    else:
-        width = 4
-        print(" " * width + "".join(f"{h.symbol:>{width}}" for h in ops))
-        for g in ops:
-            print(
-                f"{g.symbol:>{width}}"
-                + "".join(f"{q8_mul(g, h).symbol:>{width}}" for h in ops)
-            )
-        print("(row applied first, column second)")
-    return 0
+    rows.append("(row applied first, column second)")
+    return payload, "\n".join(rows), True
 
 
-def _cmd_braid_compose(args) -> int:
+def _cmd_braid_compose(args):
     word = parse_braid_word(args.word, args.n)
     perm = braid_to_signed_perm(word)
-    if args.format == "json":
-        _emit_json(
-            {
-                "word": word_to_text(word),
-                "arity": word.arity,
-                "target": list(perm.target),
-                "marked": list(perm.marked),
-            }
-        )
-    else:
-        print(repr(perm))
-    return 0
+    payload = {
+        "word": word_to_text(word),
+        "arity": word.arity,
+        "target": list(perm.target),
+        "marked": list(perm.marked),
+    }
+    return payload, repr(perm), True
 
 
-def _cmd_braid_verify(args) -> int:
-    report = verify_braid_relations(args.n)
-    if args.format == "json":
-        _emit_json(report.to_json())
-    else:
-        print(report.render())
-    return 0 if report.all_hold else 1
+def _cmd_braid_verify(args):
+    return _report(verify_braid_relations(args.n))
 
 
-def _cmd_braid_diagram(args) -> int:
+def _cmd_braid_diagram(args):
     word = parse_braid_word(args.word, args.n)
-    print(braid_diagram(word))
-    return 0
+    diagram = braid_diagram(word)
+    payload = {"arity": word.arity, "word": word_to_text(word), "diagram": diagram}
+    return payload, diagram, True
 
 
-def _cmd_check_derivation(args) -> int:
+def _cmd_check_derivation(args):
     data = json.loads(Path(args.file).read_text())
     scripts = data if isinstance(data, list) else [data]
     reports = [check_derivation(Derivation.from_json(entry)) for entry in scripts]
-    if args.format == "json":
-        _emit_json([r.to_json() for r in reports])
-    else:
-        for r in reports:
-            print(r.render())
-    return 0 if all(r.ok for r in reports) else 1
+    return (
+        [r.to_json() for r in reports],
+        "\n".join(r.render() for r in reports),
+        all(r.ok for r in reports),
+    )
 
 
-def _parse_perm(text: str) -> SlotPermutation:
+def _parse_perm(text: str) -> SignedPerm:
     source = []
     marks = []
     for item in text.split(","):
@@ -243,30 +198,27 @@ def _parse_perm(text: str) -> SlotPermutation:
         marks.append(flagged)
     if len(source) != 4:
         raise ValueError("permutation needs exactly 4 entries")
-    return SlotPermutation(tuple(source), tuple(marks))
+    if sorted(source) != [1, 2, 3, 4]:
+        raise ValueError(f"not a permutation of 1..4: {tuple(source)}")
+    return SignedPerm(tuple(source), tuple(marks))
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args):
     if args.kind == "mark-slot":
         slot = int(args.arg)
         expr = mark_slot(slot)
-        marks = tuple(s == slot for s in (1, 2, 3, 4))
-        result = verify_construction(expr, SlotPermutation((1, 2, 3, 4), marks))
+        p = SignedPerm((1, 2, 3, 4), tuple(s == slot for s in (1, 2, 3, 4)))
     else:
         p = _parse_perm(args.arg)
         expr = permute_expr(p)
-        result = verify_construction(expr, p)
+    result = verify_construction(expr, p)
     payload = {
         "expression": print_expr(expr),
         "verified": result.equivalent,
         "assignments_checked": result.assignments_checked,
     }
-    if args.format == "json":
-        _emit_json(payload)
-    else:
-        print(payload["expression"])
-        print(f"verified: {payload['verified']}")
-    return 0 if result.equivalent else 1
+    text = f"{payload['expression']}\nverified: {result.equivalent}"
+    return payload, text, result.equivalent
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -343,7 +295,7 @@ def main(argv: list[str] | None = None) -> int:
         assignment_budget()
         if hasattr(args, "n") and not 2 <= args.n <= MAX_STRANDS:
             raise ValueError(f"braid arity must be between 2 and {MAX_STRANDS}")
-        return args.fn(args)
+        payload, text, ok = args.fn(args)
     except ParseError as err:
         print(
             f"error: {err.message} (at {err.span.start}..{err.span.end})",
@@ -359,6 +311,11 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError:
         print("error: input is nested too deeply", file=sys.stderr)
         return 2
+    if args.format == "json":
+        print(json.dumps(payload, sort_keys=True, indent=2))
+    elif text:
+        print(text)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

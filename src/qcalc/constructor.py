@@ -13,10 +13,7 @@ over the eight operator forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
-from .kernel import Q8Op, QValue, q8_mul
+from .kernel import Q8Op, QValue, SignedPerm, q8_mul
 from .semantics import evaluate
 from .textio import (
     Expr,
@@ -89,42 +86,11 @@ def op_form(g: Q8Op, body: Expr) -> Expr:
     return Power(g.axis, body, 3)
 
 
-@dataclass(frozen=True)
-class SlotPermutation:
-    """Target layout: output slot t takes source slot source[t-1], marked
-    when marks[t-1] is set."""
-
-    source: tuple[int, int, int, int]
-    marks: tuple[bool, bool, bool, bool] = (False, False, False, False)
-
-    def __post_init__(self) -> None:
-        if sorted(self.source) != [1, 2, 3, 4]:
-            raise ValueError(f"not a permutation of 1..4: {self.source}")
-
-    def act(self, v: QValue) -> QValue:
-        slots = v.slots
-        return QValue.from_slots(
-            *(slots[s - 1] ^ m for s, m in zip(self.source, self.marks))
-        )
-
-    def spec_tuple(self) -> Expr:
-        """Tuple literal over a,b,c,d specifying the intended result."""
-        letters = "abcd"
-        slots: list[Expr] = []
-        for s, m in zip(self.source, self.marks):
-            slot: Expr = Var(letters[s - 1])
-            if m:
-                slot = mark(slot)
-            slots.append(slot)
-        return Tuple4(tuple(slots))
-
-    def compose(self, inner: "SlotPermutation") -> "SlotPermutation":
-        """The permutation acting as inner first, then self."""
-        source = tuple(inner.source[s - 1] for s in self.source)
-        marks = tuple(
-            m ^ inner.marks[s - 1] for s, m in zip(self.source, self.marks)
-        )
-        return SlotPermutation(source, marks)
+def spec_tuple(p: SignedPerm) -> Expr:
+    """Tuple literal over a,b,c,d specifying the result of p: output slot
+    t is source letter p.target[t-1], marked when p.marked[t-1] is set."""
+    slots = (Var("abcd"[s - 1]) for s in p.target)
+    return Tuple4(tuple(mark(v) if m else v for v, m in zip(slots, p.marked)))
 
 
 def _selector_factor(target: int, source: int, marked: bool, x: Expr) -> Expr:
@@ -133,13 +99,13 @@ def _selector_factor(target: int, source: int, marked: bool, x: Expr) -> Expr:
     return mark(juxt(op_form(g, x), blocker))
 
 
-def mark_slot(x: int, var: str = "X") -> Expr:
-    """An expression with one free variable whose value is the variable's
-    value with slot x marked; for x=3 this is structurally the two-factor
-    interference construction over the IJ pattern."""
+def mark_slot(x: int) -> Expr:
+    """An expression in X whose value is X's value with slot x marked; for
+    x=3 this is structurally the two-factor interference construction over
+    the IJ pattern."""
     if x not in (1, 2, 3, 4):
         raise ValueError("slot index must be 1..4")
-    X = Var(var)
+    X = Var("X")
     blocker = interference_expr(_BLOCKER_FOR_SLOT[x])
     return juxt(
         mark(juxt(X, blocker)),
@@ -147,22 +113,22 @@ def mark_slot(x: int, var: str = "X") -> Expr:
     )
 
 
-def permute_expr(p: SlotPermutation | Sequence[int], var: str = "X") -> Expr:
-    """An expression with one free variable realizing the given slot
-    permutation (and optional per-slot marks): one selector factor per
-    target slot, juxtaposed."""
-    if not isinstance(p, SlotPermutation):
-        p = SlotPermutation(tuple(p))
-    X = Var(var)
-    factors = [
-        _selector_factor(t, p.source[t - 1], p.marks[t - 1], X)
-        for t in (1, 2, 3, 4)
-    ]
-    return juxt(*factors)
+def permute_expr(p: SignedPerm) -> Expr:
+    """An expression in X realizing the arity-4 signed permutation p: one
+    selector factor per target slot, juxtaposed."""
+    if p.arity != 4:
+        raise ValueError("permute_expr needs arity 4")
+    X = Var("X")
+    return juxt(
+        *(
+            _selector_factor(t, source, marked, X)
+            for t, source, marked in zip((1, 2, 3, 4), p.target, p.marked)
+        )
+    )
 
 
-def verify_construction(e: Expr, p: SlotPermutation, var: str = "X"):
-    """check_equiv the construction against its tuple-literal spec with
-    the free variable instantiated to the generic tuple."""
+def verify_construction(e: Expr, p: SignedPerm):
+    """check_equiv the construction against its tuple-literal spec with X
+    instantiated to the generic tuple."""
     generic = parse("{a, b, c, d}")
-    return check_equiv(substitute(e, {var: generic}), p.spec_tuple())
+    return check_equiv(substitute(e, {"X": generic}), spec_tuple(p))

@@ -39,7 +39,6 @@ class _Script:
         direction: str = "ltr",
         subst: Mapping[str, Expr | str] | None = None,
         params: Mapping[str, object] | None = None,
-        occurrence: int = 0,
         inside: int | None = None,
     ) -> "_Script":
         subst = _normalize_subst(subst)
@@ -53,12 +52,12 @@ class _Script:
                 if stored == inside
             )
             hits = [h for h in hits if h[:1] == (addr,)]
-        if len(hits) <= occurrence:
+        if not hits:
             raise AssertionError(
-                f"{self.name}: {rule} ({direction}) has {len(hits)} application"
-                f" sites in {print_expr(self.current)!r}, wanted #{occurrence}"
+                f"{self.name}: {rule} ({direction}) has no application"
+                f" site in {print_expr(self.current)!r}"
             )
-        pos = hits[occurrence]
+        pos = hits[0]
         result = apply_rule(self.current, rule, direction, pos, subst, params)
         self.steps.append(
             Step(

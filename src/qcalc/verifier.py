@@ -20,13 +20,12 @@ exactly ``semantics.evaluate`` (property-tested against it).
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from functools import reduce
 from itertools import permutations
 from operator import itemgetter, xor
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .kernel import (
     ALL_QVALUES,
@@ -404,12 +403,25 @@ class LawSuiteReport:
         return "\n".join(lines)
 
 
-def _equiv_check(name: str, lhs: str, rhs: str, note: str = "") -> LawCheck:
-    res = check_equiv(parse(lhs), parse(rhs))
+def _equiv_check(
+    name: str, lhs: Expr | str, rhs: Expr | str, note: str = ""
+) -> LawCheck:
+    res = check_equiv(lhs, rhs)
     return LawCheck(
         name, res.equivalent, env_patterns(res.counterexample),
         res.assignments_checked, note,
     )
+
+
+def _table_check(
+    name: str, key: str, values: Sequence, holds: Callable[..., bool], note: str = ""
+) -> LawCheck:
+    """A law over a finite table of values: it holds when ``holds(v)`` for
+    every value, the first value that fails is the counterexample, and the
+    count is the table's length."""
+    bad = next((v for v in values if not holds(v)), None)
+    ce = None if bad is None else {key: bad.pattern()}
+    return LawCheck(name, bad is None, ce, len(values), note)
 
 
 APPENDIX_A_LAWS: tuple[tuple[str, str, str], ...] = (
@@ -493,8 +505,9 @@ def run_law_suite(suite: str) -> LawSuiteReport:
             got = evaluate(parse(text), {})
             want = op_value(op)
             note = f"value {got.pattern()}, empty {op.axis}-mark {want.pattern()}"
-            ce = None if got == want else {"value": got.pattern()}
-            checks.append(LawCheck(name, got == want, ce, 1, note))
+            checks.append(
+                _table_check(name, "value", (got,), lambda v: v == want, note)
+            )
     elif suite == "bf_subspaces":
         checks = _bf_subspace_checks()
     elif suite == "q8_relations":
@@ -505,60 +518,34 @@ def run_law_suite(suite: str) -> LawSuiteReport:
 
 
 def _bf_subspace_checks() -> list[LawCheck]:
-    checks: list[LawCheck] = []
     # Pair-mode defining equations, on all four pair values.
-    bad = [
-        v.pattern()
-        for v in ALL_BFVALUES
-        if bf_apply("i", bf_apply("i", v)) != bf_apply("", v)
-    ]
-    checks.append(
-        LawCheck(
-            "Pair-SquareRootOfMark",
-            not bad,
-            {"pair": bad[0]} if bad else None,
-            4,
+    checks = [
+        _table_check(
+            "Pair-SquareRootOfMark", "pair", ALL_BFVALUES,
+            lambda v: bf_apply("i", bf_apply("i", v)) == bf_apply("", v),
             "i-mark twice equals the plain mark",
-        )
-    )
-    bad = [
-        v.pattern() for v in ALL_BFVALUES if bf_apply("", bf_apply("", v)) != v
-    ]
-    checks.append(
-        LawCheck(
-            "Pair-Reflexion",
-            not bad,
-            {"pair": bad[0]} if bad else None,
-            4,
+        ),
+        _table_check(
+            "Pair-Reflexion", "pair", ALL_BFVALUES,
+            lambda v: bf_apply("", bf_apply("", v)) == v,
             "plain mark twice is the identity",
-        )
-    )
+        ),
+    ]
     for a in ALPHAS:
-        checks.append(
+        checks += [
             _equiv_check(
-                f"SplitGeneration[{a}]",
-                f"[[A]{a} B]{a} C",
-                f"[[A C]{a} B]{a} C",
-            )
-        )
-        checks.append(_equiv_check(f"SquareIsMark[{a}]", f"[[A]{a}]{a}", "[A]"))
-        checks.append(_equiv_check(f"PowerSquare[{a}]", f"[A]{a}^2", "[A]"))
-        checks.append(_equiv_check(f"QuadraReflexion[{a}]", f"[A]{a}^4", "A"))
-        for opname, bf_sub, q_sub in (
-            ("imaginary", "i", a),
-            ("mark", "", ""),
-        ):
-            bad = [
-                v.pattern()
-                for v in ALL_BFVALUES
-                if embed_bf(a, bf_apply(bf_sub, v)) != apply_op(q_sub, embed_bf(a, v))
-            ]
+                f"SplitGeneration[{a}]", f"[[A]{a} B]{a} C", f"[[A C]{a} B]{a} C"
+            ),
+            _equiv_check(f"SquareIsMark[{a}]", f"[[A]{a}]{a}", "[A]"),
+            _equiv_check(f"PowerSquare[{a}]", f"[A]{a}^2", "[A]"),
+            _equiv_check(f"QuadraReflexion[{a}]", f"[A]{a}^4", "A"),
+        ]
+        for opname, bf_sub, q_sub in (("imaginary", "i", a), ("mark", "", "")):
             checks.append(
-                LawCheck(
-                    f"Embedding[{a}]-{opname}",
-                    not bad,
-                    {"pair": bad[0]} if bad else None,
-                    4,
+                _table_check(
+                    f"Embedding[{a}]-{opname}", "pair", ALL_BFVALUES,
+                    lambda v: embed_bf(a, bf_apply(bf_sub, v))
+                    == apply_op(q_sub, embed_bf(a, v)),
                     f"embedding intertwines the {opname} operation",
                 )
             )
@@ -570,17 +557,10 @@ def _q8_relation_checks() -> list[LawCheck]:
     for g in Q8Op:
         for h in Q8Op:
             r = q8_mul(g, h)
-            bad = [
-                v.pattern()
-                for v in ALL_QVALUES
-                if q8_apply(h, q8_apply(g, v)) != q8_apply(r, v)
-            ]
             checks.append(
-                LawCheck(
-                    f"{g.symbol}*{h.symbol}={r.symbol}",
-                    not bad,
-                    {"value": bad[0]} if bad else None,
-                    16,
+                _table_check(
+                    f"{g.symbol}*{h.symbol}={r.symbol}", "value", ALL_QVALUES,
+                    lambda v: q8_apply(h, q8_apply(g, v)) == q8_apply(r, v),
                 )
             )
     return checks
@@ -767,23 +747,9 @@ class AssertionReport:
 
 def check_assertions(text: str) -> AssertionReport:
     """Check every `LHS == RHS` line of a .qlf file body."""
-    checks = []
-    for line in parse_qlf(text):
-        if line.rhs is None:
-            continue
-        res = check_equiv(line.lhs, line.rhs)
-        checks.append(
-            LawCheck(
-                f"L{line.lineno}",
-                res.equivalent,
-                env_patterns(res.counterexample),
-                res.assignments_checked,
-                line.source,
-            )
-        )
+    checks = [
+        _equiv_check(f"L{line.lineno}", line.lhs, line.rhs, line.source)
+        for line in parse_qlf(text)
+        if line.rhs is not None
+    ]
     return AssertionReport(tuple(checks))
-
-
-def report_to_json_text(report) -> str:
-    """Stable JSON rendering: sorted keys, no trailing whitespace."""
-    return json.dumps(report.to_json(), sort_keys=True, indent=2)

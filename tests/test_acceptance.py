@@ -21,11 +21,12 @@ from qcalc.braid import (
     verify_braid_relations,
     word_apply,
 )
-from qcalc.constructor import SlotPermutation, mark_slot, permute_expr, verify_construction
+from qcalc.constructor import mark_slot, permute_expr, verify_construction
 from qcalc.derivations import builtin_derivation, builtin_derivations
 from qcalc.kernel import (
     ALL_QVALUES,
     Q8Op,
+    SignedPerm,
     is_isomorphic_to_q8,
     op_value,
     q8_apply,
@@ -233,7 +234,7 @@ def test_criterion_09_slot_constructions():
             )
             assert res.equivalent
         for perm in permutations((1, 2, 3, 4)):
-            p = SlotPermutation(tuple(perm))
+            p = SignedPerm(tuple(perm), (False,) * 4)
             assert verify_construction(permute_expr(p), p).equivalent
 
     timed(9, "slot constructions: both examples, the exercise, 24+4 generators", 5000, body)

@@ -129,6 +129,14 @@ class TestBraid:
         assert code == 0
         assert "X" in out
 
+    def test_diagram_json(self, capsys):
+        code, out, _ = run(
+            capsys, "--format", "json", "braid", "diagram", "s1 s2'", "--n", "3"
+        )
+        assert code == 0
+        text = run(capsys, "braid", "diagram", "s1 s2'", "--n", "3")[1]
+        assert json.loads(out) == {"arity": 3, "word": "s1 s2'", "diagram": text[:-1]}
+
     def test_bad_word(self, capsys):
         code, _, err = run(capsys, "braid", "compose", "s9", "--n", "4")
         assert code == 2
@@ -314,6 +322,35 @@ def test_golden_json_output(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_JSON[argv]
 
 
+# One argv per subcommand; "{deriv}" is a derivation file, "{qlf}" an
+# assertion file.
+ONE_ARGV_PER_SUBCOMMAND = [
+    ("parse", "{qlf}"),
+    ("eval", "[X]i", "--env", "X=UUUU"),
+    ("equiv", "[[A]i]j == [[A]j]i"),
+    ("equiv", "--file", "{qlf}"),
+    ("laws", "q8_relations"),
+    ("distribution",),
+    ("group-table",),
+    ("braid", "compose", "s1 s3'"),
+    ("braid", "verify", "--n", "3"),
+    ("braid", "diagram", "s1 s2'", "--n", "3"),
+    ("check-derivation", "{deriv}"),
+    ("construct", "mark-slot", "2"),
+    ("construct", "permute", "1,4m,2,3"),
+]
+
+
+@pytest.mark.parametrize("argv", ONE_ARGV_PER_SUBCOMMAND, ids=" ".join)
+def test_json_format_applies_to_every_subcommand(capsys, tmp_path, argv):
+    deriv = tmp_path / "qr1.json"
+    deriv.write_text(builtin_derivation("QR1").dumps())
+    files = {"{deriv}": str(deriv), "{qlf}": str(SHARED_LAWS)}
+    code, out, _ = run(capsys, "--format", "json", *(files.get(a, a) for a in argv))
+    assert code in (0, 1)
+    json.loads(out)
+
+
 def test_rule_instance_count():
     assert validate_rules() == 154
 
@@ -411,10 +448,7 @@ braid_arities = st.integers(-3, 100_000).map(str) | junk
 def cli_argvs(draw, tmp_path):
     flags = draw(
         st.lists(
-            st.sampled_from(
-                [["--format", "json"], ["--format", "text"], ["--budget", "16"],
-                 ["--budget", "x"]]
-            ),
+            st.sampled_from([["--format", "json"], ["--format", "text"]]),
             max_size=2,
         )
     )
@@ -466,7 +500,13 @@ def cli_argvs(draw, tmp_path):
 @given(data=st.data())
 def test_any_input_exits_zero_one_or_two(capsys, tmp_path, data):
     argv = data.draw(cli_argvs(tmp_path))
-    code = main(argv)
+    budget = data.draw(st.sampled_from(["16", "x", None]))
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is None:
+            mp.delenv("QCALC_BUDGET", raising=False)
+        else:
+            mp.setenv("QCALC_BUDGET", budget)
+        code = main(argv)
     captured = capsys.readouterr()
     assert code in (0, 1, 2)
     if code == 2:

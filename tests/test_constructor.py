@@ -4,15 +4,15 @@ import pytest
 
 from qcalc.constructor import (
     INTERFERENCE_NAMES,
-    SlotPermutation,
     interference,
     mark_slot,
     op_form,
     permute_expr,
     selector_op,
+    spec_tuple,
     verify_construction,
 )
-from qcalc.kernel import Q8Op, QValue, op_value, q8_to_signed_perm
+from qcalc.kernel import Q8Op, QValue, SignedPerm, op_value, q8_to_signed_perm
 from qcalc.semantics import evaluate, juxtapose
 from qcalc.textio import ac_equal, parse, print_expr, substitute
 from qcalc.verifier import check_equiv
@@ -103,12 +103,12 @@ class TestSelectors:
 
 class TestPermute:
     def test_identity(self):
-        p = SlotPermutation((1, 2, 3, 4))
+        p = SignedPerm((1, 2, 3, 4), (False,) * 4)
         res = verify_construction(permute_expr(p), p)
         assert res.equivalent
 
     def test_example_layout(self):
-        p = SlotPermutation((1, 4, 2, 3))
+        p = SignedPerm((1, 4, 2, 3), (False,) * 4)
         expr = permute_expr(p)
         res = verify_construction(expr, p)
         assert res.equivalent
@@ -119,44 +119,48 @@ class TestPermute:
 
     def test_all_24_permutations_exhaustively(self):
         for perm in permutations((1, 2, 3, 4)):
-            p = SlotPermutation(tuple(perm))
+            p = SignedPerm(tuple(perm), (False,) * 4)
             res = verify_construction(permute_expr(p), p)
             assert res.equivalent, perm
             assert res.assignments_checked == 16
 
     def test_marked_variants(self):
-        p = SlotPermutation((2, 1, 4, 3), (True, False, False, True))
+        p = SignedPerm((2, 1, 4, 3), (True, False, False, True))
         res = verify_construction(permute_expr(p), p)
         assert res.equivalent
 
     def test_bijection_on_values(self):
         for perm in ((1, 2, 3, 4), (2, 3, 4, 1), (4, 1, 3, 2)):
-            p = SlotPermutation(perm, (False, True, False, False))
+            p = SignedPerm(perm, (False, True, False, False))
             e = substitute(permute_expr(p), {"X": GENERIC})
             images = {evaluate(e, as_env(bits)) for bits in range(16)}
             assert len(images) == 16
 
     def test_composition(self, rng):
         for _ in range(20):
-            p1 = SlotPermutation(
+            p1 = SignedPerm(
                 tuple(rng.sample([1, 2, 3, 4], 4)),
                 tuple(rng.random() < 0.3 for _ in range(4)),
             )
-            p2 = SlotPermutation(
+            p2 = SignedPerm(
                 tuple(rng.sample([1, 2, 3, 4], 4)),
                 tuple(rng.random() < 0.3 for _ in range(4)),
             )
             nested = substitute(permute_expr(p1), {"X": permute_expr(p2)})
-            res = verify_construction(nested, p1.compose(p2))
+            res = verify_construction(nested, p2.then(p1))
             assert res.equivalent, (p1, p2)
 
     def test_act_matches_spec_tuple(self):
-        p = SlotPermutation((3, 1, 4, 2), (False, True, False, False))
+        p = SignedPerm((3, 1, 4, 2), (False, True, False, False))
         for bits in range(16):
             v = QValue(bits)
-            spec_val = evaluate(p.spec_tuple(), as_env(bits))
-            assert p.act(v) == spec_val
+            spec_val = evaluate(spec_tuple(p), as_env(bits))
+            assert p.apply_q(v) == spec_val
 
     def test_not_a_permutation(self):
         with pytest.raises(ValueError):
-            SlotPermutation((1, 1, 3, 4))
+            SignedPerm((1, 1, 3, 4), (False,) * 4)
+
+    def test_needs_arity_four(self):
+        with pytest.raises(ValueError, match="arity 4"):
+            permute_expr(SignedPerm((2, 1, 3), (False,) * 3))

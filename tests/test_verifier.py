@@ -22,7 +22,6 @@ from qcalc.verifier import (
     check_equiv,
     distribution_matrix,
     env_patterns,
-    report_to_json_text,
     run_law_suite,
     distribution_demos,
 )
@@ -417,12 +416,12 @@ class TestReports:
         rep2 = check_assertions(body)
         assert not rep1.all_hold
         assert [c.holds for c in rep1.checks] == [True, False]
-        assert report_to_json_text(rep1) == report_to_json_text(rep2)
-        data = json.loads(report_to_json_text(rep1))
+        assert rep1.to_json() == rep2.to_json()
+        data = rep1.to_json()
         assert data["checks"][1]["counterexample"] == {"A": "UUUU"}
 
     def test_suite_json_roundtrips(self):
-        text = report_to_json_text(run_law_suite("lof_appendix_a"))
+        text = json.dumps(run_law_suite("lof_appendix_a").to_json())
         data = json.loads(text)
         assert data["suite"] == "lof_appendix_a"
         assert data["all_hold"] is True
