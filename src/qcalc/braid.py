@@ -14,11 +14,11 @@ Text syntax for words: `s1 s3' s2` with an apostrophe for the inverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .kernel import (
     Q8Op,
+    Record,
     SignedPerm,
     generate_closure,
     is_isomorphic_to_q8,
@@ -31,16 +31,16 @@ from .textio import mark as mark_expr
 MAX_STRANDS = 8
 
 
-@dataclass(frozen=True)
-class BraidGen:
+class BraidGen(Record):
     index: int  # 1-based strand position, crosses index and index+1
     sign: int  # +1 over-crossing, -1 under-crossing
 
-    def __post_init__(self) -> None:
-        if self.index < 1:
+    def __init__(self, index: int, sign: int) -> None:
+        if index < 1:
             raise ValueError("generator index starts at 1")
-        if self.sign not in (1, -1):
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
+        super().__init__(index, sign)
 
     def inverse(self) -> "BraidGen":
         return BraidGen(self.index, -self.sign)
@@ -49,19 +49,17 @@ class BraidGen:
         return f"s{self.index}" + ("'" if self.sign < 0 else "")
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(Record):
     arity: int
     gens: tuple[BraidGen, ...]
 
-    def __post_init__(self) -> None:
-        if self.arity < 2:
+    def __init__(self, arity: int, gens: tuple[BraidGen, ...]) -> None:
+        if arity < 2:
             raise ValueError("braid words need at least 2 strands")
-        for g in self.gens:
-            if g.index + 1 > self.arity:
-                raise ValueError(
-                    f"generator {g!r} does not fit in {self.arity} strands"
-                )
+        for g in gens:
+            if g.index + 1 > arity:
+                raise ValueError(f"generator {g!r} does not fit in {arity} strands")
+        super().__init__(arity, gens)
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if other.arity != self.arity:
@@ -164,8 +162,7 @@ def quaternion_braid_word(g: Q8Op) -> BraidWord:
     return word
 
 
-@dataclass(frozen=True)
-class RelationCheck:
+class RelationCheck(Record):
     name: str
     holds: bool
 
@@ -173,8 +170,7 @@ class RelationCheck:
         return {"name": self.name, "verdict": "holds" if self.holds else "fails"}
 
 
-@dataclass(frozen=True)
-class BraidRelationReport:
+class BraidRelationReport(Record):
     arity: int
     checks: tuple[RelationCheck, ...]
 

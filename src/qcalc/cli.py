@@ -7,42 +7,39 @@ and whether every requested check passed; ``main`` alone prints one of the
 first two, as ``--format`` says, after the result is complete.
 Exit codes: 0 when every requested check passes, 1 when a check fails,
 2 on usage or syntax errors (reported to stderr with the input span).
+
+A command imports only the modules it runs, inside its function, so a cold
+``qcalc group-table`` never loads the decider.  Names the package exports
+are imported from it, so a wrapper put in the package namespace (as
+perfbench's tracer does) sees these calls too.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 from pathlib import Path
 
-from .braid import (
-    MAX_STRANDS,
-    braid_diagram,
-    braid_to_signed_perm,
-    parse_braid_word,
-    verify_braid_relations,
-    word_to_text,
-)
-from .constructor import mark_slot, permute_expr, verify_construction
-from .kernel import Q8Op, QValue, SignedPerm, q8_mul
-from .rewrite import Derivation, check_derivation
-from .semantics import EvalError, evaluate
-from .textio import ParseError, parse, parse_assertion, parse_qlf, print_expr
-from .verifier import (
-    BudgetExceeded,
-    SUITES,
-    assignment_budget,
-    check_assertions,
-    check_equiv,
-    distribution_matrix,
-    env_patterns,
-    run_law_suite,
-    distribution_demos,
-)
+def _input_errors() -> tuple[type[Exception], ...]:
+    """The exceptions that ``main`` reports as usage errors.  The library's
+    own come from the modules that are loaded: one that is not loaded raised
+    none, so nothing is imported for this."""
+    errors: list[type[Exception]] = [ValueError, KeyError, OSError]
+    for module, name in (
+        ("textio", "ParseError"),
+        ("semantics", "EvalError"),
+        ("verifier", "BudgetExceeded"),
+    ):
+        loaded = sys.modules.get(f"{__package__}.{module}")
+        if loaded is not None:
+            errors.append(getattr(loaded, name))
+    return tuple(errors)
 
 
 def _parse_env(text: str) -> dict:
+    from . import QValue
+
     env: dict = {}
     if not text:
         return env
@@ -68,6 +65,8 @@ def _report(r):
 
 
 def _cmd_parse(args):
+    from . import parse_qlf, print_expr
+
     lines = []
     for line in parse_qlf(Path(args.file).read_text()):
         if line.rhs is None:
@@ -87,12 +86,17 @@ def _cmd_parse(args):
 
 
 def _cmd_eval(args):
+    from . import evaluate, parse, print_expr
+
     expr = parse(args.expr)
     value = evaluate(expr, _parse_env(args.env or "")).pattern()
     return {"expr": print_expr(expr), "value": value}, value, True
 
 
 def _cmd_equiv(args):
+    from . import check_assertions, check_equiv, parse_assertion, print_expr
+    from .verifier import env_patterns
+
     if args.file:
         return _report(check_assertions(Path(args.file).read_text()))
     if args.assertion is None:
@@ -117,10 +121,14 @@ def _cmd_equiv(args):
 
 
 def _cmd_laws(args):
+    from . import run_law_suite
+
     return _report(run_law_suite(args.suite))
 
 
 def _cmd_distribution(args):
+    from . import distribution_demos, distribution_matrix
+
     report = distribution_matrix()
     demos = distribution_demos()
     payload = report.to_json()
@@ -130,6 +138,8 @@ def _cmd_distribution(args):
 
 
 def _cmd_group_table(args):
+    from . import Q8Op, q8_mul
+
     ops = list(Q8Op)
     payload = {
         "elements": [g.symbol for g in ops],
@@ -149,6 +159,8 @@ def _cmd_group_table(args):
 
 
 def _cmd_braid_compose(args):
+    from . import braid_to_signed_perm, parse_braid_word, word_to_text
+
     word = parse_braid_word(args.word, args.n)
     perm = braid_to_signed_perm(word)
     payload = {
@@ -161,10 +173,14 @@ def _cmd_braid_compose(args):
 
 
 def _cmd_braid_verify(args):
+    from . import verify_braid_relations
+
     return _report(verify_braid_relations(args.n))
 
 
 def _cmd_braid_diagram(args):
+    from . import braid_diagram, parse_braid_word, word_to_text
+
     word = parse_braid_word(args.word, args.n)
     diagram = braid_diagram(word)
     payload = {"arity": word.arity, "word": word_to_text(word), "diagram": diagram}
@@ -172,6 +188,10 @@ def _cmd_braid_diagram(args):
 
 
 def _cmd_check_derivation(args):
+    import json
+
+    from . import Derivation, check_derivation
+
     data = json.loads(Path(args.file).read_text())
     scripts = data if isinstance(data, list) else [data]
     reports = [check_derivation(Derivation.from_json(entry)) for entry in scripts]
@@ -182,7 +202,9 @@ def _cmd_check_derivation(args):
     )
 
 
-def _parse_perm(text: str) -> SignedPerm:
+def _parse_perm(text: str):
+    from . import SignedPerm
+
     source = []
     marks = []
     for item in text.split(","):
@@ -204,8 +226,14 @@ def _parse_perm(text: str) -> SignedPerm:
 
 
 def _cmd_construct(args):
+    from . import SignedPerm, mark_slot, permute_expr, print_expr
+    from .constructor import verify_construction
+
     if args.kind == "mark-slot":
-        slot = int(args.arg)
+        try:
+            slot = int(args.arg)
+        except ValueError:
+            raise ValueError("slot index must be 1..4") from None
         expr = mark_slot(slot)
         p = SignedPerm((1, 2, 3, 4), tuple(s == slot for s in (1, 2, 3, 4)))
     else:
@@ -221,8 +249,29 @@ def _cmd_construct(args):
     return payload, text, result.equivalent
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that can add its arguments when it first parses,
+    so that building the parser imports nothing a command may not run."""
+
+    def __init__(self, *args, add_arguments=None, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._add_arguments = add_arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add_arguments is not None:
+            self._add_arguments(self)
+            self._add_arguments = None
+        return super().parse_known_args(args, namespace)
+
+
+def _add_suite_argument(p: argparse.ArgumentParser) -> None:
+    from . import SUITES
+
+    p.add_argument("suite", choices=SUITES)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="qcalc",
         description="16-valued mark calculus: evaluation, exhaustive"
         " equivalence, law suites, derivation checking, braids.",
@@ -244,8 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file", help="check every assertion in a .qlf file")
     p.set_defaults(fn=_cmd_equiv)
 
-    p = sub.add_parser("laws", help="run a named law suite")
-    p.add_argument("suite", choices=SUITES)
+    p = sub.add_parser(
+        "laws", help="run a named law suite", add_arguments=_add_suite_argument
+    )
     p.set_defaults(fn=_cmd_laws)
 
     p = sub.add_parser(
@@ -291,27 +341,27 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         # Every check reads QCALC_BUDGET; a malformed value is a usage
-        # error before any of them runs.
-        assignment_budget()
-        if hasattr(args, "n") and not 2 <= args.n <= MAX_STRANDS:
-            raise ValueError(f"braid arity must be between 2 and {MAX_STRANDS}")
+        # error before any of them runs, whatever the command.
+        if os.environ.get("QCALC_BUDGET"):
+            from .verifier import assignment_budget
+
+            assignment_budget()
+        if hasattr(args, "n"):
+            from .braid import MAX_STRANDS
+
+            if not 2 <= args.n <= MAX_STRANDS:
+                raise ValueError(f"braid arity must be between 2 and {MAX_STRANDS}")
         payload, text, ok = args.fn(args)
-    except ParseError as err:
-        print(
-            f"error: {err.message} (at {err.span.start}..{err.span.end})",
-            file=sys.stderr,
-        )
-        return 2
-    except BudgetExceeded as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (EvalError, ValueError, KeyError, OSError, json.JSONDecodeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except RecursionError:
         print("error: input is nested too deeply", file=sys.stderr)
         return 2
+    except _input_errors() as err:
+        # A ParseError's text ends with its span.
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     if args.format == "json":
+        import json
+
         print(json.dumps(payload, sort_keys=True, indent=2))
     elif text:
         print(text)

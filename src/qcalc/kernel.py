@@ -9,8 +9,7 @@ normal way to verify anything.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 # An LoF value is a plain bool: True = marked, False = unmarked.
 LoFValue = bool
@@ -28,19 +27,122 @@ def lof_juxt(v: LoFValue, w: LoFValue) -> LoFValue:
     return v or w
 
 
-@dataclass(frozen=True, order=True)
-class QValue:
+# Sets a field of a Record, past its frozen guard; for __init__ only.
+_set = object.__setattr__
+
+
+class Record:
+    """An immutable record: the base of every value class in qcalc.
+
+    A subclass declares its fields as annotations in its body, which
+    ``_fields`` lists in order.  Equality (same class and equal field
+    tuples), hashing (of the field tuple) and repr
+    (``Name(field=value, ...)``) read that tuple, and assigning or deleting
+    an attribute raises AttributeError.  The inherited ``__init__`` takes
+    the fields by position or keyword; ``_defaults`` maps a field that may
+    be left out to a function making its value, so each instance gets its
+    own.  The values used in every evaluation (QValue, SignedPerm and the
+    expression nodes) write ``__init__``, ``__eq__`` and ``__hash__`` out
+    by hand with the same meaning, which is faster than these generic ones.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, Callable[[], object]] = {}
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        own = cls.__dict__.get("__annotations__", {})
+        cls._fields += tuple(name for name in own if not name.startswith("_"))
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        for name, value in zip(fields, args):
+            _set(self, name, value)
+
+    def _bind(self, args: tuple, kwargs: dict) -> tuple:
+        """The field values given by position, keyword or default."""
+        name = type(self).__qualname__
+        fields = self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name} takes {len(fields)} fields, got {len(args)}")
+        values = dict(zip(fields, args))
+        for key, value in kwargs.items():
+            if key not in fields or key in values:
+                raise TypeError(f"{name} got an unexpected or repeated field {key!r}")
+            values[key] = value
+        for key in fields:
+            if key not in values:
+                if key not in self._defaults:
+                    raise TypeError(f"{name} is missing field {key!r}")
+                values[key] = self._defaults[key]()
+        return tuple(values[key] for key in fields)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class QValue(Record):
     """A 4-tuple of LoF values packed into 4 bits.
 
     Slot `a` is bit 3 and slot `d` is bit 0, so ``QValue(0b1001)`` is the
     value (marked, unmarked, unmarked, marked) and prints as ``MUUM``.
+    Values order by their bits.
     """
 
     bits: int
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.bits <= 15:
-            raise ValueError(f"QValue bits out of range: {self.bits}")
+    def __init__(self, bits: int) -> None:
+        if not 0 <= bits <= 15:
+            raise ValueError(f"QValue bits out of range: {bits}")
+        _set(self, "bits", bits)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.bits == other.bits
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.bits,))
+
+    def __lt__(self, other: QValue) -> bool:
+        if other.__class__ is self.__class__:
+            return self.bits < other.bits
+        return NotImplemented
+
+    def __le__(self, other: QValue) -> bool:
+        if other.__class__ is self.__class__:
+            return self.bits <= other.bits
+        return NotImplemented
+
+    def __gt__(self, other: QValue) -> bool:
+        if other.__class__ is self.__class__:
+            return self.bits > other.bits
+        return NotImplemented
+
+    def __ge__(self, other: QValue) -> bool:
+        if other.__class__ is self.__class__:
+            return self.bits >= other.bits
+        return NotImplemented
 
     @classmethod
     def from_slots(cls, a: bool, b: bool, c: bool, d: bool) -> QValue:
@@ -150,8 +252,7 @@ def q8_power(g: Q8Op, n: int) -> Q8Op:
     return out
 
 
-@dataclass(frozen=True)
-class SignedPerm:
+class SignedPerm(Record):
     """A permutation of n slots with a per-slot mark flag.
 
     Output slot p takes input slot ``target[p]`` (both 1-based) and is
@@ -162,12 +263,22 @@ class SignedPerm:
     target: tuple[int, ...]
     marked: tuple[bool, ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.target)
-        if len(self.marked) != n:
+    def __init__(self, target: tuple[int, ...], marked: tuple[bool, ...]) -> None:
+        n = len(target)
+        if len(marked) != n:
             raise ValueError("target and marked lengths differ")
-        if sorted(self.target) != list(range(1, n + 1)):
-            raise ValueError(f"target is not a permutation of 1..{n}: {self.target}")
+        if sorted(target) != list(range(1, n + 1)):
+            raise ValueError(f"target is not a permutation of 1..{n}: {target}")
+        _set(self, "target", target)
+        _set(self, "marked", marked)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.target, self.marked) == (other.target, other.marked)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.target, self.marked))
 
     @classmethod
     def identity(cls, n: int) -> SignedPerm:

@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product as iproduct
 from typing import Callable, Mapping, Sequence
 
 from .constructor import op_form
-from .kernel import MARK_OPS, q8_mul, q8_power
+from .kernel import MARK_OPS, Record, q8_mul, q8_power
 from .textio import (
     VOID,
     Expr,
@@ -83,9 +82,11 @@ class NoMatch(RewriteError):
         )
 
 
-@dataclass(frozen=True)
-class Rule:
-    """An oriented rewrite law with optional mark/exponent parameters."""
+class Rule(Record):
+    """An oriented rewrite law with optional mark/exponent parameters.
+
+    ``lhs`` and ``rhs`` build the two sides from the parameter values.
+    """
 
     id: str
     params: tuple[str, ...]
@@ -416,18 +417,18 @@ def find_applications(
 # Derivations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Step:
+class Step(Record):
     rule: str
     direction: str
     pos: tuple[int, ...]
-    subst: Mapping[str, Expr] = field(default_factory=dict)
-    params: Mapping[str, object] = field(default_factory=dict)
-    result: Expr | None = None  # recorded outcome, for resilient checking
+    subst: Mapping[str, Expr]
+    params: Mapping[str, object]
+    result: Expr | None  # recorded outcome, for resilient checking
+
+    _defaults = {"subst": dict, "params": dict, "result": lambda: None}
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(Record):
     name: str
     start: Expr
     steps: tuple[Step, ...]
@@ -520,8 +521,7 @@ def _shaped(value, where: str, kind: type):
     return value
 
 
-@dataclass(frozen=True)
-class StepReport:
+class StepReport(Record):
     index: int
     rule: str
     applied: bool
@@ -539,8 +539,7 @@ class StepReport:
         )
 
 
-@dataclass(frozen=True)
-class DerivationReport:
+class DerivationReport(Record):
     name: str
     steps: tuple[StepReport, ...]
     end_matches: bool | None

@@ -5,7 +5,6 @@ logical connectives, and the 2-tuple pair mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Union
 
@@ -13,6 +12,7 @@ from .kernel import (
     MARK_OPS,
     LoFValue,
     QValue,
+    Record,
     lof_juxt,
     lof_mark,
     op_of_value,
@@ -180,15 +180,15 @@ def connective(kind: str, a: Expr, b: Expr) -> Expr:
 # Pair mode (2-tuples with a single imaginary mark)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BFValue:
+class BFValue(Record):
     """A pair of LoF values; bit 1 is the first slot, bit 0 the second."""
 
     bits: int
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.bits <= 3:
-            raise ValueError(f"BFValue bits out of range: {self.bits}")
+    def __init__(self, bits: int) -> None:
+        if not 0 <= bits <= 3:
+            raise ValueError(f"BFValue bits out of range: {bits}")
+        super().__init__(bits)
 
     @classmethod
     def from_slots(cls, x: bool, y: bool) -> BFValue:

@@ -22,8 +22,9 @@ comment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
+
+from .kernel import Record, _set
 
 PLAIN = ""
 MAX_DEPTH = 200  # nested bodies: marks, tuple slots, exponents and groups
@@ -31,14 +32,14 @@ IMAGINARY_SUBS = ("i", "j", "k")
 MARK_SUBS = (PLAIN,) + IMAGINARY_SUBS
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(Record):
     start: int
     end: int
 
-    def __post_init__(self) -> None:
-        if self.start > self.end:
+    def __init__(self, start: int, end: int) -> None:
+        if start > end:
             raise ValueError("span start after end")
+        super().__init__(start, end)
 
 
 class ParseError(Exception):
@@ -50,51 +51,123 @@ class ParseError(Exception):
         self.span = span
 
 
-@dataclass(frozen=True)
-class Void:
-    def __repr__(self) -> str:
-        return "Void()"
+# The expression nodes.  Every evaluation builds, compares and walks them,
+# so each writes its Record methods out by hand.
 
 
-@dataclass(frozen=True)
-class Var:
+class Void(Record):
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return True
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(())
+
+
+class Var(Record):
     name: str
 
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
 
-@dataclass(frozen=True)
-class Mark:
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
+
+
+class Mark(Record):
     sub: str  # "" for the plain mark, else "i" / "j" / "k"
-    body: "Expr"
+    body: Expr
+
+    def __init__(self, sub: str, body: Expr) -> None:
+        _set(self, "sub", sub)
+        _set(self, "body", body)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.sub, self.body) == (other.sub, other.body)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.sub, self.body))
 
 
-@dataclass(frozen=True)
-class Juxt:
-    parts: tuple["Expr", ...]  # len >= 2, flattened, no Void entries
+class Juxt(Record):
+    parts: tuple[Expr, ...]  # len >= 2, flattened, no Void entries
+
+    def __init__(self, parts: tuple[Expr, ...]) -> None:
+        _set(self, "parts", parts)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
 
 
-@dataclass(frozen=True)
-class Tuple4:
-    slots: tuple["Expr", "Expr", "Expr", "Expr"]
+class Tuple4(Record):
+    slots: tuple[Expr, Expr, Expr, Expr]
 
-    def __post_init__(self) -> None:
-        if len(self.slots) != 4:
-            raise ValueError(f"a tuple has 4 slots, not {len(self.slots)}")
-        bad = next((s for s in self.slots if not is_lof_expr(s)), None)
+    def __init__(self, slots: tuple[Expr, Expr, Expr, Expr]) -> None:
+        if len(slots) != 4:
+            raise ValueError(f"a tuple has 4 slots, not {len(slots)}")
+        bad = next((s for s in slots if not is_lof_expr(s)), None)
         if bad is not None:
             raise ValueError(f"tuple slot is not a plain-LoF expression: {bad!r}")
+        _set(self, "slots", slots)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.slots == other.slots
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.slots,))
 
 
-@dataclass(frozen=True)
-class Power:
+class Power(Record):
     sub: str
-    body: "Expr"
+    body: Expr
     exponent: int  # >= 2; exponent 1 is normalized to Mark
 
+    def __init__(self, sub: str, body: Expr, exponent: int) -> None:
+        _set(self, "sub", sub)
+        _set(self, "body", body)
+        _set(self, "exponent", exponent)
 
-@dataclass(frozen=True)
-class ExpApply:
-    base: "Expr"
-    exponent: "Expr"
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.sub, self.body, self.exponent) == (
+                other.sub, other.body, other.exponent
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.sub, self.body, self.exponent))
+
+
+class ExpApply(Record):
+    base: Expr
+    exponent: Expr
+
+    def __init__(self, base: Expr, exponent: Expr) -> None:
+        _set(self, "base", base)
+        _set(self, "exponent", exponent)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.base, self.exponent) == (other.base, other.exponent)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.exponent))
 
 
 Expr = Union[Void, Var, Mark, Juxt, Tuple4, Power, ExpApply]
@@ -304,8 +377,7 @@ def parse_assertion(text: str, offset: int = 0) -> tuple[Expr, Expr]:
     return lhs, rhs
 
 
-@dataclass(frozen=True)
-class QlfLine:
+class QlfLine(Record):
     lineno: int
     lhs: Expr
     rhs: Expr | None  # None for a bare expression line
@@ -383,8 +455,8 @@ def canonical_text(e: Expr) -> str:
     """print_expr(ac_canon(e)), built from the children's keys.
 
     Printing is injective, so equal keys mean equal canonical trees.  The
-    key is cached on the node outside its dataclass fields, so equality,
-    hashing and repr are unaffected and shared subterms are keyed once.
+    key is cached on the node outside its fields, so equality, hashing and
+    repr are unaffected and shared subterms are keyed once.
     """
     key = e.__dict__.get("_canonical_text")
     if key is not None:

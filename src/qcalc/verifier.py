@@ -21,7 +21,6 @@ exactly ``semantics.evaluate`` (property-tested against it).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import reduce
 from itertools import permutations
 from operator import itemgetter, xor
@@ -32,6 +31,7 @@ from .kernel import (
     MARK_OPS,
     Q8Op,
     QValue,
+    Record,
     op_value,
     q8_apply,
     q8_mul,
@@ -87,8 +87,7 @@ class BudgetExceeded(Exception):
         self.budget = budget
 
 
-@dataclass(frozen=True)
-class EquivResult:
+class EquivResult(Record):
     equivalent: bool
     counterexample: dict[str, QValue | bool] | None
     assignments_checked: int
@@ -351,13 +350,14 @@ def env_patterns(env: Mapping[str, QValue | bool] | None) -> dict[str, str] | No
 # Law suites
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LawCheck:
+class LawCheck(Record):
     name: str
     holds: bool
     counterexample: dict[str, str] | None
     assignments_checked: int
-    note: str = ""
+    note: str
+
+    _defaults = {"note": str}
 
     def to_json(self) -> dict:
         out: dict = {
@@ -372,8 +372,7 @@ class LawCheck:
         return out
 
 
-@dataclass(frozen=True)
-class LawSuiteReport:
+class LawSuiteReport(Record):
     suite: str
     checks: tuple[LawCheck, ...]
 
@@ -570,8 +569,7 @@ def _q8_relation_checks() -> list[LawCheck]:
 # Distribution matrix
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DistCell:
+class DistCell(Record):
     op1: str
     op2: str
     trivial: bool
@@ -592,8 +590,7 @@ class DistCell:
         return out
 
 
-@dataclass(frozen=True)
-class DistributionReport:
+class DistributionReport(Record):
     cells: tuple[DistCell, ...]
 
     @property
@@ -662,8 +659,7 @@ def distribution_matrix() -> DistributionReport:
 # The two non-commutative distribution demonstrations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DemoReport:
+class DemoReport(Record):
     demo1_holds: bool
     demo2_template_holds: bool
     demo2_printed_holds: bool
@@ -722,8 +718,7 @@ def distribution_demos() -> DemoReport:
 # Assertion files
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AssertionReport:
+class AssertionReport(Record):
     checks: tuple[LawCheck, ...]
 
     @property

@@ -13,6 +13,7 @@ from qcalc.cli import main
 from qcalc.derivations import builtin_derivation
 from qcalc.rewrite import validate_rules
 from qcalc.textio import print_expr
+from qcalc.verifier import SUITES
 
 SHARED_LAWS = Path(__file__).resolve().parent.parent / "scripts" / "shared_laws.qlf"
 
@@ -178,6 +179,13 @@ class TestDerivationAndConstruct:
         code, _, err = run(capsys, "construct", "permute", "1,1,2,3")
         assert code == 2
 
+    @pytest.mark.parametrize("slot", ["x", "0", "5"])
+    def test_construct_bad_slot(self, capsys, slot):
+        code, out, err = run(capsys, "construct", "mark-slot", slot)
+        assert code == 2
+        assert out == ""
+        assert err == "error: slot index must be 1..4\n"
+
 
 class TestParseCommand:
     def test_parse_echoes_canonical(self, capsys, tmp_path):
@@ -231,6 +239,34 @@ def test_malformed_env_budget_is_a_usage_error(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "QCALC_BUDGET" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("group-table",),
+        ("braid", "compose", "s1"),
+        ("parse", str(SHARED_LAWS)),
+        ("eval", "[A]", "--env", "A=MUUM"),
+    ],
+    ids=" ".join,
+)
+def test_malformed_env_budget_stops_check_free_commands(capsys, monkeypatch, argv):
+    """These commands run no check and never load the decider."""
+    monkeypatch.setenv("QCALC_BUDGET", "abc")
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: QCALC_BUDGET must be an integer, not 'abc'\n"
+
+
+def test_unknown_suite_names_the_suites(capsys):
+    code, out, err = run(capsys, "laws", "bogus")
+    assert code == 2
+    assert out == ""
+    choices = ", ".join(map(repr, SUITES))
+    assert err.endswith(f"invalid choice: 'bogus' (choose from {choices})\n")
+    assert "{" + ",".join(SUITES) + "}" in err  # the usage line
 
 
 MALFORMED_DERIVATIONS = {
