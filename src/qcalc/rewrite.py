@@ -4,14 +4,24 @@ A rule is an oriented pair of patterns, possibly parametrized by mark
 subscripts (alpha, beta) or power exponents (m, n).  Every variable in a
 pattern is a metavariable.  Matching is modulo commutativity,
 associativity and flattening of juxtaposition only; marks match exactly.
-Steps supply their full substitution, so applying a rule never searches:
-the instantiated source side must equal the addressed subterm up to
-juxtaposition reordering (or, at a juxtaposition node, a sub-multiset of
-its children, the rest passing through unchanged).
+A replayed step supplies its full substitution, so applying a rule never
+searches: the instantiated source side must equal the addressed subterm
+up to juxtaposition reordering (or, at a juxtaposition node, a
+sub-multiset of its children, the rest passing through unchanged).
+Recorded derivations always carry the full substitution.
 
 Position paths are child indices; children of a juxtaposition are
 addressed in the order of their canonical printed forms so that scripts
 are deterministic.
+
+A search (find_applications, and the builder of the bundled scripts)
+may leave the substitution out; matching then fills it in.  Positions
+are tried in preorder and address order.  A metavariable binds one whole
+subterm, and seen again must equal it by canonical key; a juxtaposition
+matches as a multiset, each pattern part in written order trying the
+children in address order.  The first position whose match gives an
+admissible replacement wins, with its first match, so a script gives a
+substitution only where that first match is not the intended one.
 
 Rules are validated semantically (via exhaustive equivalence) the first
 time the database is used; an unsound rule aborts.
@@ -20,10 +30,9 @@ time the database is used; an unsound rule aborts.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from functools import lru_cache
 from itertools import product as iproduct
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .constructor import op_form
 from .kernel import MARK_OPS, Record, q8_mul, q8_power
@@ -31,6 +40,8 @@ from .textio import (
     VOID,
     Expr,
     Juxt,
+    Mark,
+    Power,
     Var,
     ac_equal,
     canonical_text,
@@ -69,17 +80,7 @@ class SideConditionViolation(RewriteError):
 
 
 class NoMatch(RewriteError):
-    def __init__(self, expected: Expr, found: Expr) -> None:
-        super().__init__(expected, found)
-        self.expected = expected
-        self.found = found
-
-    def __str__(self) -> str:
-        # Printed on demand: a site search raises and drops many of these.
-        return (
-            f"expected {print_expr(self.expected) or '(void)'},"
-            f" found {print_expr(self.found) or '(void)'}"
-        )
+    pass
 
 
 class Rule(Record):
@@ -107,7 +108,8 @@ class Rule(Record):
                         f"parameter {name}={value!r} must be one of i, j, k"
                     )
             elif name in ("m", "n"):
-                if not isinstance(value, int) or not 1 <= value <= 3:
+                # bool is an int to isinstance, but true is no exponent.
+                if type(value) is not int or not 1 <= value <= 3:
                     raise SideConditionViolation(
                         f"parameter {name}={value!r} must be an integer in 1..3"
                     )
@@ -310,20 +312,16 @@ def all_positions(e: Expr) -> list[tuple[int, ...]]:
 # Rule application
 # ---------------------------------------------------------------------------
 
-def _normalize_subst(subst: Mapping[str, Expr | str] | None) -> dict[str, Expr]:
-    out: dict[str, Expr] = {}
-    for name, value in (subst or {}).items():
-        out[name] = parse(value) if isinstance(value, str) else value
-    return out
-
-
 def _instantiate(
     rule: Rule | str,
     direction: str,
     subst: Mapping[str, Expr | str] | None,
     params: Mapping[str, object] | None,
-) -> tuple[Expr, Expr]:
-    """The (source, destination) instance of a rule side pair."""
+    search: bool = False,
+) -> tuple[Expr, Expr, dict[str, Expr], frozenset[str]]:
+    """The rule's (source, destination) sides with subst applied, subst's
+    bindings, and the metavariables left to matching: in a search with no
+    subst, every one of the source side's."""
     if isinstance(rule, str):
         db = rules()
         if rule not in db:
@@ -336,17 +334,18 @@ def _instantiate(
     lhs, rhs = rule.sides(params or {})
     src_pat, dst_pat = (lhs, rhs) if direction == "ltr" else (rhs, lhs)
 
-    bindings = _normalize_subst(subst)
-    needed = set().union(*free_vars(src_pat), *free_vars(dst_pat))
-    missing = needed - set(bindings)
-    if missing:
+    bindings = {k: parse(v) if isinstance(v, str) else v for k, v in (subst or {}).items()}
+    src_vars = set().union(*free_vars(src_pat))
+    missing = src_vars.union(*free_vars(dst_pat)) - set(bindings)
+    if missing and (bindings or not search or missing - src_vars):
         raise BadSubstitution(
             f"substitution for rule {rule.id} is missing {sorted(missing)}"
         )
     try:
-        return substitute(src_pat, bindings), substitute(dst_pat, bindings)
+        src, dst = substitute(src_pat, bindings), substitute(dst_pat, bindings)
     except ValueError as err:
         raise BadSubstitution(str(err)) from err
+    return src, dst, bindings, frozenset(missing)
 
 
 def apply_rule(
@@ -357,36 +356,125 @@ def apply_rule(
     subst: Mapping[str, Expr | str] | None = None,
     params: Mapping[str, object] | None = None,
 ) -> Expr:
-    """Apply one rule instance at a position.
+    """Apply one rule instance at a position; never searches.
 
     The rule side selected by `direction`, instantiated with `subst`, must
     match the addressed subterm up to juxtaposition reordering; at a
     juxtaposition it may match a sub-multiset of the children, the rest
     passing through unchanged.
     """
-    instance_src, instance_dst = _instantiate(rule, direction, subst, params)
-    remainder = _match(child_at(e, pos), instance_src)
+    instance_src, instance_dst, _, _ = _instantiate(rule, direction, subst, params)
+    target = child_at(e, pos)
+    remainder = next(_match(target, instance_src), None)
+    if remainder is None:
+        raise NoMatch(
+            f"expected {print_expr(instance_src) or '(void)'},"
+            f" found {print_expr(target) or '(void)'}"
+        )
     return replace_at(e, pos, juxt(*remainder, instance_dst))
 
 
-def _match(target: Expr, instance_src: Expr) -> list[Expr]:
-    """Match the instantiated source against the subterm; returns leftover
-    juxtaposition children (empty for an exact match)."""
-    if isinstance(target, Juxt) and isinstance(instance_src, Juxt):
-        wanted = Counter(canonical_text(p) for p in instance_src.parts)
-        remainder: list[Expr] = []
-        for part in target.parts:
-            key = canonical_text(part)
-            if wanted.get(key, 0) > 0:
-                wanted[key] -= 1
-            else:
-                remainder.append(part)
-        if any(v > 0 for v in wanted.values()):
-            raise NoMatch(instance_src, target)
-        return remainder
-    if ac_equal(target, instance_src):
-        return []
-    raise NoMatch(instance_src, target)
+def _match(
+    target: Expr,
+    pattern: Expr,
+    free: frozenset[str] = frozenset(),
+    binding: dict[str, Expr] | None = None,
+    top: bool = True,
+) -> Iterator[list[Expr]]:
+    """Each way the pattern matches the subterm, as the juxtaposition
+    children it leaves over; only the addressed node (top) may leave any.
+
+    A metavariable named in `free` binds, in `binding` while the match is
+    yielded, to one whole subterm; seen again, it must equal that by
+    canonical key.  Juxtaposed children match as a multiset, each pattern
+    part trying them in address order.  With nothing free this is the one
+    check replay makes: canonical keys compared.
+    """
+    if isinstance(target, Juxt) and isinstance(pattern, Juxt):
+        rest = [(stored, child) for child, stored in addressed_children(target)]
+        yield from _match_parts(rest, pattern.parts, free, binding, top)
+    elif not free:
+        if ac_equal(target, pattern):
+            yield []
+    elif isinstance(pattern, Var) and pattern.name in free:
+        if pattern.name not in binding:
+            binding[pattern.name] = target
+            yield []
+            del binding[pattern.name]
+        elif ac_equal(binding[pattern.name], target):
+            yield []
+    elif target.__class__ is pattern.__class__ and _label(target) == _label(pattern):
+        yield from _match_children(children(target), children(pattern), free, binding)
+
+
+def _match_parts(
+    rest: list[tuple[int, Expr]],
+    patterns: Sequence[Expr],
+    free: frozenset[str],
+    binding: dict[str, Expr],
+    top: bool,
+) -> Iterator[list[Expr]]:
+    """Match each pattern to its own member of rest, (stored index, child)
+    pairs in address order; yields the children left over, in stored order."""
+    if not patterns:
+        if top or not rest:
+            yield [child for _, child in sorted(rest, key=lambda sc: sc[0])]
+        return
+    for i, (_, child) in enumerate(rest):
+        for _ in _match(child, patterns[0], free, binding, False):
+            yield from _match_parts(
+                rest[:i] + rest[i + 1 :], patterns[1:], free, binding, top
+            )
+
+
+def _match_children(
+    targets: Sequence[Expr],
+    patterns: Sequence[Expr],
+    free: frozenset[str],
+    binding: dict[str, Expr],
+) -> Iterator[list[Expr]]:
+    """Match the patterns to the targets one to one, in order."""
+    if not patterns:
+        yield []
+        return
+    for _ in _match(targets[0], patterns[0], free, binding, False):
+        yield from _match_children(targets[1:], patterns[1:], free, binding)
+
+
+def _label(e: Expr) -> object:
+    """What a node holds besides its children."""
+    if isinstance(e, Var):
+        return e.name
+    if isinstance(e, Mark):
+        return e.sub
+    if isinstance(e, Power):
+        return e.sub, e.exponent
+    return None
+
+
+def _applications(
+    e: Expr,
+    rule: Rule | str,
+    direction: str,
+    subst: Mapping[str, Expr | str] | None,
+    params: Mapping[str, object] | None,
+    at: tuple[int, ...] = (),
+) -> Iterator[tuple[tuple[int, ...], dict[str, Expr], Expr]]:
+    """(position, substitution, result) wherever the rule applies in the
+    subterm at `at`, in preorder and address order.  Without a subst, each
+    position's first match is its only one."""
+    src, dst, bindings, free = _instantiate(rule, direction, subst, params, True)
+    for pos, target in _walk(child_at(e, at), at):
+        binding: dict[str, Expr] = {}
+        remainder = next(_match(target, src, free, binding), None)
+        if remainder is None:
+            continue
+        try:
+            # The replacement may be refused: tuple slots stay plain LoF.
+            result = replace_at(e, pos, juxt(*remainder, substitute(dst, binding)))
+        except (BadSubstitution, ValueError):
+            continue
+        yield pos, binding or bindings, result
 
 
 def find_applications(
@@ -396,21 +484,10 @@ def find_applications(
     subst: Mapping[str, Expr | str] | None = None,
     params: Mapping[str, object] | None = None,
 ) -> list[tuple[int, ...]]:
-    """All positions where the given rule instance applies (preorder)."""
-    try:
-        instance_src, instance_dst = _instantiate(rule, direction, subst, params)
-    except RewriteError:
-        return []
-    hits = []
-    for pos, target in _walk(e):
-        try:
-            remainder = _match(target, instance_src)
-            # The replacement may still be refused: tuple slots stay plain LoF.
-            replace_at(e, pos, juxt(*remainder, instance_dst))
-        except RewriteError:
-            continue
-        hits.append(pos)
-    return hits
+    """Every position where the rule applies (preorder, address order); with
+    no subst, wherever its source side matches.  A bad rule, direction,
+    parameter or substitution raises RewriteError."""
+    return [pos for pos, _, _ in _applications(e, rule, direction, subst, params)]
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +649,7 @@ class DerivationReport(Record):
         for s in self.steps:
             mark_ = "ok" if s.ok else "FAIL"
             err = f"  [{s.error}]" if s.error else ""
-            sem = "" if s.semantic_ok else "  semantics differ!"
+            sem = "  semantics differ!" if s.semantic_ok is False else ""
             lines.append(
                 f"  step {s.index:>2} {s.rule:<22} {mark_:<4}"
                 f" -> {s.term if s.term is not None else '?'}{err}{sem}"

@@ -164,6 +164,33 @@ class TestDerivationAndConstruct:
         assert code == 1
         assert "FAIL" in out
 
+    def test_unapplied_step_claims_no_semantic_difference(self, capsys, tmp_path):
+        # No term was produced, so no semantic check ran.
+        path = tmp_path / "bad-pos.json"
+        path.write_text(json.dumps({
+            "start": "[[x]]", "end": "x",
+            "steps": [{"rule": "A3-Reflexion", "pos": [-1], "subst": {"A": "x"}}],
+        }))
+        code, out, _ = run(capsys, "check-derivation", str(path))
+        assert code == 1
+        assert out == (
+            "derivation derivation:\n"
+            "  step  0 A3-Reflexion           FAIL -> ?"
+            "  [position (-1,) does not address a subterm of [[x]]]\n"
+            "  end matches: None; derivation FAILS\n"
+        )
+
+    def test_boolean_exponent_is_refused(self, capsys, tmp_path):
+        path = tmp_path / "bool-m.json"
+        path.write_text(json.dumps({
+            "start": "[[x]i]j", "end": "[x]k",
+            "steps": [{"rule": "QCOMP", "subst": {"A": "x"},
+                       "params": {"alpha": "i", "m": True, "beta": "j", "n": 1}}],
+        }))
+        code, out, _ = run(capsys, "check-derivation", str(path))
+        assert code == 1
+        assert "[parameter m=True must be an integer in 1..3]" in out
+
     def test_construct_mark_slot(self, capsys):
         code, out, _ = run(capsys, "construct", "mark-slot", "2")
         assert code == 0

@@ -1,10 +1,12 @@
 import hashlib
+import subprocess
+import sys
 
 import pytest
 
 from qcalc import oracle
-from qcalc.derivations import builtin_derivation, builtin_derivations
-from qcalc.rewrite import Derivation, check_derivation
+from qcalc.derivations import _Script, builtin_derivation, builtin_derivations
+from qcalc.rewrite import Derivation, RewriteError, check_derivation
 from qcalc.semantics import connective
 from qcalc.textio import Var, ac_equal, parse, print_expr
 from qcalc.verifier import check_equiv
@@ -134,3 +136,24 @@ def test_scripts_roundtrip_through_json():
         again = Derivation.loads(d.dumps())
         assert again == d
         assert check_derivation(again).ok
+
+
+@pytest.mark.parametrize("start, inside", [("[x]", 0), ("a b", 2)])
+def test_bad_inside_raises_under_optimisation(start, inside):
+    # An explicit error, not an assert that python -O strips.
+    code = (
+        "from qcalc.derivations import _Script; "
+        f"_Script('t', {start!r}).apply('A3-Reflexion', 'rtl', inside={inside})"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True
+    )
+    assert proc.returncode == 1
+    assert f"ValueError: t: inside={inside} is not a child of" in proc.stderr
+
+
+def test_script_reports_the_rule_error_not_a_missing_site():
+    with pytest.raises(RewriteError, match="unknown rule 'Q99'"):
+        _Script("t", "[[x]]").apply("Q99")
+    with pytest.raises(AssertionError, match="has no application site"):
+        _Script("t", "x").apply("A3-Reflexion")

@@ -22,7 +22,7 @@ from qcalc.rewrite import (
     rules,
     validate_rules,
 )
-from qcalc.derivations import builtin_derivations
+from qcalc.derivations import _Script, builtin_derivations
 from qcalc.textio import Var, ac_equal, free_vars, juxt, parse, print_expr, substitute
 
 
@@ -288,3 +288,65 @@ def test_find_applications_keeps_tuple_purity_check():
         apply_rule(e, "Q1-SQR", "rtl", (0,), {"A": "x"}, {"alpha": "i"})
     assert find_applications(e, "Q1-SQR", "rtl", {"A": "x"}, {"alpha": "i"}) == []
     assert find_applications(e, "A3-Reflexion", "rtl", {"A": "[x]"}) == [(0,)]
+
+
+# Search without a substitution: matching fills it in, and the first
+# position in preorder and address order wins.
+
+
+def _first_step(term, rule, direction, params):
+    step = _Script("t", term).apply(rule, direction, params=params).steps[0]
+    return step.pos, {k: print_expr(v) for k, v in step.subst.items()}
+
+
+@pytest.mark.parametrize(
+    "term, rule, direction, params, pos, subst",
+    [
+        # A repeated metavariable binds one whole part; the other must equal it.
+        ("[x y] [y x]", "A7-Iteration", "ltr", None, (), {"A": "[x y]"}),
+        # A metavariable may bind the void.
+        ("[[]i]i", "Q1-SQR", "ltr", {"alpha": "i"}, (), {"A": ""}),
+        # A juxtaposition matches as a multiset, each pattern part trying the
+        # children in address order; the rest passes through.
+        (
+            "q [[x]k [y]k]k^3 p", "QD-AndDistribution", "ltr", {"alpha": "k"},
+            (), {"A": "x", "B": "y", "C": "p"},
+        ),
+        # A subterm comes before its own subterms.
+        ("[[x]] [[[y]]]", "A3-Reflexion", "ltr", None, (0,), {"A": "[y]"}),
+        # A refused tuple-slot replacement moves the search to the next position.
+        ("{[x], , , }^([y])", "Q1-SQR", "rtl", {"alpha": "i"}, (1,), {"A": "y"}),
+    ],
+    ids=["repeated", "void", "multiset", "preorder", "refused-slot"],
+)
+def test_search_takes_the_first_match(term, rule, direction, params, pos, subst):
+    assert _first_step(term, rule, direction, params) == (pos, subst)
+
+
+def test_find_applications_without_subst_lists_every_match():
+    assert find_applications(parse("[[x]] [[[y]]]"), "A3-Reflexion") == [
+        (0,), (0, 0), (1,)]
+    e = parse("{[x], , , }^([y])")
+    assert find_applications(e, "Q1-SQR", "rtl", params={"alpha": "i"}) == [(1,)]
+
+
+@pytest.mark.parametrize(
+    "args, error, message",
+    [
+        (("Q99",), RewriteError, "unknown rule 'Q99'"),
+        (("Q1-SQR", "both"), RewriteError, "direction must be ltr or rtl"),
+        (("Q1-SQR", "ltr", None, {"alpha": "x"}), SideConditionViolation, "one of i, j, k"),
+        (
+            ("QCOMP", "ltr", None, {"alpha": "i", "m": 4, "beta": "j", "n": 1}),
+            SideConditionViolation, r"m=4 must be an integer in 1\.\.3",
+        ),
+        # The destination's A is not on the source side, so matching cannot bind it.
+        (("A5-Integration", "rtl"), BadSubstitution, r"missing \['A'\]"),
+        # A substitution is given whole or not at all.
+        (("A2-Transposition", "ltr", {"A": "x"}), BadSubstitution, r"missing \['B', 'C'\]"),
+    ],
+    ids=["rule", "direction", "subscript", "exponent", "destination-only", "partial"],
+)
+def test_find_applications_raises_real_errors(args, error, message):
+    with pytest.raises(error, match=message):
+        find_applications(parse("[[x]i]i []"), *args)
