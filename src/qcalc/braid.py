@@ -19,7 +19,9 @@ from typing import Sequence
 from .kernel import (
     Q8Op,
     Record,
+    Report,
     SignedPerm,
+    Verdict,
     generate_closure,
     is_isomorphic_to_q8,
     q8_to_signed_perm,
@@ -40,7 +42,6 @@ class BraidGen(Record):
             raise ValueError("generator index starts at 1")
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        super().__init__(index, sign)
 
     def inverse(self) -> "BraidGen":
         return BraidGen(self.index, -self.sign)
@@ -59,7 +60,6 @@ class BraidWord(Record):
         for g in gens:
             if g.index + 1 > arity:
                 raise ValueError(f"generator {g!r} does not fit in {arity} strands")
-        super().__init__(arity, gens)
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if other.arity != self.arity:
@@ -162,28 +162,17 @@ def quaternion_braid_word(g: Q8Op) -> BraidWord:
     return word
 
 
-class RelationCheck(Record):
+class RelationCheck(Verdict, Record):
     name: str
     holds: bool
 
     def to_json(self) -> dict:
-        return {"name": self.name, "verdict": "holds" if self.holds else "fails"}
+        return {"name": self.name, "verdict": self.verdict}
 
 
-class BraidRelationReport(Record):
+class BraidRelationReport(Report, Record):
     arity: int
     checks: tuple[RelationCheck, ...]
-
-    @property
-    def all_hold(self) -> bool:
-        return all(c.holds for c in self.checks)
-
-    def to_json(self) -> dict:
-        return {
-            "arity": self.arity,
-            "all_hold": self.all_hold,
-            "checks": [c.to_json() for c in self.checks],
-        }
 
     def render(self) -> str:
         lines = [f"braid relations on {self.arity} strands:"]
@@ -252,11 +241,8 @@ def quaternion_closure() -> list[SignedPerm]:
 
 def closure_is_q8() -> bool:
     closure = quaternion_closure()
-    expected = {
-        (q8_to_signed_perm(g).target, q8_to_signed_perm(g).marked) for g in Q8Op
-    }
-    actual = {(p.target, p.marked) for p in closure}
-    return len(closure) == 8 and actual == expected and is_isomorphic_to_q8(closure)
+    expected = {q8_to_signed_perm(g) for g in Q8Op}
+    return len(closure) == 8 and set(closure) == expected and is_isomorphic_to_q8(closure)
 
 
 # ---------------------------------------------------------------------------

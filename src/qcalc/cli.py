@@ -197,7 +197,7 @@ def _cmd_check_derivation(args):
     reports = [check_derivation(Derivation.from_json(entry)) for entry in scripts]
     return (
         [r.to_json() for r in reports],
-        "\n".join(r.render() for r in reports),
+        "\n".join(r.render() for r in reports) or "(no derivations)",
         all(r.ok for r in reports),
     )
 

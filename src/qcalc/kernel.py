@@ -9,6 +9,7 @@ normal way to verify anything.
 from __future__ import annotations
 
 import enum
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 # An LoF value is a plain bool: True = marked, False = unmarked.
@@ -27,23 +28,38 @@ def lof_juxt(v: LoFValue, w: LoFValue) -> LoFValue:
     return v or w
 
 
-# Sets a field of a Record, past its frozen guard; for __init__ only.
-_set = object.__setattr__
+def _same_class_order(compare: Callable[[tuple, tuple], bool]) -> Callable:
+    """A tuple comparison that refuses any operand of another class."""
+
+    def order(self: Record, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            raise TypeError(
+                f"cannot order {type(self).__qualname__} and {type(other).__qualname__}"
+            )
+        return compare(self, other)
+
+    return order
 
 
-class Record:
-    """An immutable record: the base of every value class in qcalc.
+class Record(tuple):
+    """An immutable record: a tuple whose items are its fields, and the
+    base of every value class in qcalc.
 
-    A subclass declares its fields as annotations in its body, which
-    ``_fields`` lists in order.  Equality (same class and equal field
-    tuples), hashing (of the field tuple) and repr
-    (``Name(field=value, ...)``) read that tuple, and assigning or deleting
-    an attribute raises AttributeError.  The inherited ``__init__`` takes
-    the fields by position or keyword; ``_defaults`` maps a field that may
-    be left out to a function making its value, so each instance gets its
-    own.  The values used in every evaluation (QValue, SignedPerm and the
-    expression nodes) write ``__init__``, ``__eq__`` and ``__hash__`` out
-    by hand with the same meaning, which is faster than these generic ones.
+    A subclass declares its fields as annotations in its body; ``_fields``
+    lists them in order, and each reads its item through a property.  The
+    one constructor takes the fields by position or keyword; ``_defaults``
+    maps a field that may be left out to a function making its value, so
+    each instance gets its own.  A class that validates its arguments
+    writes an ``__init__`` that only checks them and does not call
+    ``super().__init__``.
+
+    No subclass writes equality, hashing or construction by hand.  Records
+    are equal when of the same class with equal fields, so a plain tuple
+    never equals one; the hash is the field tuple's.  Records of one class
+    order as their field tuples, and ordering against anything else raises
+    TypeError.  Every record is truthy, ``repr`` is ``Name(field=value,
+    ...)``, copies and pickle round trips are equal, and assigning or
+    deleting an attribute raises AttributeError.
     """
 
     _fields: tuple[str, ...] = ()
@@ -51,20 +67,21 @@ class Record:
 
     def __init_subclass__(cls, **kwargs: object) -> None:
         super().__init_subclass__(**kwargs)
-        own = cls.__dict__.get("__annotations__", {})
-        cls._fields += tuple(name for name in own if not name.startswith("_"))
+        for name in cls.__dict__.get("__annotations__", {}):
+            if not name.startswith("_"):
+                setattr(cls, name, property(itemgetter(len(cls._fields))))
+                cls._fields += (name,)
 
-    def __init__(self, *args: object, **kwargs: object) -> None:
-        fields = self._fields
-        if kwargs or len(args) != len(fields):
-            args = self._bind(args, kwargs)
-        for name, value in zip(fields, args):
-            _set(self, name, value)
+    def __new__(cls, *args: object, **kwargs: object) -> Record:
+        if kwargs or len(args) != len(cls._fields):
+            args = cls._bind(args, kwargs)
+        return tuple.__new__(cls, args)
 
-    def _bind(self, args: tuple, kwargs: dict) -> tuple:
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
         """The field values given by position, keyword or default."""
-        name = type(self).__qualname__
-        fields = self._fields
+        name = cls.__qualname__
+        fields = cls._fields
         if len(args) > len(fields):
             raise TypeError(f"{name} takes {len(fields)} fields, got {len(args)}")
         values = dict(zip(fields, args))
@@ -74,24 +91,31 @@ class Record:
             values[key] = value
         for key in fields:
             if key not in values:
-                if key not in self._defaults:
+                if key not in cls._defaults:
                     raise TypeError(f"{name} is missing field {key!r}")
-                values[key] = self._defaults[key]()
+                values[key] = cls._defaults[key]()
         return tuple(values[key] for key in fields)
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __bool__(self) -> bool:
+        return True
 
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
 
-    def __hash__(self) -> int:
-        return hash(self._values())
+    def __ne__(self, other: object) -> bool:
+        return other.__class__ is not self.__class__ or tuple.__ne__(self, other)
+
+    __hash__ = tuple.__hash__
+    __lt__ = _same_class_order(tuple.__lt__)
+    __le__ = _same_class_order(tuple.__le__)
+    __gt__ = _same_class_order(tuple.__gt__)
+    __ge__ = _same_class_order(tuple.__ge__)
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
         return f"{type(self).__qualname__}({body})"
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -99,6 +123,29 @@ class Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Verdict:
+    """The verdict of a record with a ``holds`` field."""
+
+    @property
+    def verdict(self) -> str:
+        return "holds" if self.holds else "fails"
+
+
+class Report:
+    """A record whose ``checks`` field is a tuple of Verdict records."""
+
+    @property
+    def all_hold(self) -> bool:
+        return all(c.holds for c in self.checks)
+
+    def to_json(self) -> dict:
+        """The fields, with the checks as JSON, and ``all_hold``."""
+        out = dict(zip(self._fields, self))
+        out["checks"] = [c.to_json() for c in self.checks]
+        out["all_hold"] = self.all_hold
+        return out
 
 
 class QValue(Record):
@@ -114,35 +161,6 @@ class QValue(Record):
     def __init__(self, bits: int) -> None:
         if not 0 <= bits <= 15:
             raise ValueError(f"QValue bits out of range: {bits}")
-        _set(self, "bits", bits)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.bits == other.bits
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.bits,))
-
-    def __lt__(self, other: QValue) -> bool:
-        if other.__class__ is self.__class__:
-            return self.bits < other.bits
-        return NotImplemented
-
-    def __le__(self, other: QValue) -> bool:
-        if other.__class__ is self.__class__:
-            return self.bits <= other.bits
-        return NotImplemented
-
-    def __gt__(self, other: QValue) -> bool:
-        if other.__class__ is self.__class__:
-            return self.bits > other.bits
-        return NotImplemented
-
-    def __ge__(self, other: QValue) -> bool:
-        if other.__class__ is self.__class__:
-            return self.bits >= other.bits
-        return NotImplemented
 
     @classmethod
     def from_slots(cls, a: bool, b: bool, c: bool, d: bool) -> QValue:
@@ -269,16 +287,6 @@ class SignedPerm(Record):
             raise ValueError("target and marked lengths differ")
         if sorted(target) != list(range(1, n + 1)):
             raise ValueError(f"target is not a permutation of 1..{n}: {target}")
-        _set(self, "target", target)
-        _set(self, "marked", marked)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.target, self.marked) == (other.target, other.marked)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.target, self.marked))
 
     @classmethod
     def identity(cls, n: int) -> SignedPerm:
@@ -292,9 +300,7 @@ class SignedPerm(Record):
         """Composite that applies self first, then other."""
         if other.arity != self.arity:
             raise ValueError("arity mismatch in composition")
-        return SignedPerm(
-            *_then_key(self.target, self.marked, other.target, other.marked)
-        )
+        return SignedPerm(*_then_key(*self, *other))
 
     def inverse(self) -> SignedPerm:
         target = [0] * self.arity
@@ -382,18 +388,16 @@ def generate_closure(generators: Iterable[SignedPerm]) -> list[SignedPerm]:
     gens = list(generators)
     if not gens:
         return []
-    seen: dict[tuple, SignedPerm] = {}
     frontier = [SignedPerm.identity(gens[0].arity)]
-    seen[(frontier[0].target, frontier[0].marked)] = frontier[0]
+    seen = set(frontier)
     while frontier:
         cur = frontier.pop()
         for g in gens:
             nxt = cur.then(g)
-            key = (nxt.target, nxt.marked)
-            if key not in seen:
-                seen[key] = nxt
+            if nxt not in seen:
+                seen.add(nxt)
                 frontier.append(nxt)
-    return sorted(seen.values(), key=lambda p: (p.target, p.marked))
+    return sorted(seen)
 
 
 def _then_key(

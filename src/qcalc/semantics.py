@@ -188,7 +188,6 @@ class BFValue(Record):
     def __init__(self, bits: int) -> None:
         if not 0 <= bits <= 3:
             raise ValueError(f"BFValue bits out of range: {bits}")
-        super().__init__(bits)
 
     @classmethod
     def from_slots(cls, x: bool, y: bool) -> BFValue:

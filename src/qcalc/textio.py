@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence, Union
 
-from .kernel import Record, _set
+from .kernel import Record
 
 PLAIN = ""
 MAX_DEPTH = 200  # nested bodies: marks, tuple slots, exponents and groups
@@ -39,7 +39,6 @@ class SourceSpan(Record):
     def __init__(self, start: int, end: int) -> None:
         if start > end:
             raise ValueError("span start after end")
-        super().__init__(start, end)
 
 
 class ParseError(Exception):
@@ -51,65 +50,24 @@ class ParseError(Exception):
         self.span = span
 
 
-# The expression nodes.  Every evaluation builds, compares and walks them,
-# so each writes its Record methods out by hand.
+# The expression nodes.
 
 
 class Void(Record):
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return True
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(())
+    pass
 
 
 class Var(Record):
     name: str
-
-    def __init__(self, name: str) -> None:
-        _set(self, "name", name)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.name == other.name
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.name,))
 
 
 class Mark(Record):
     sub: str  # "" for the plain mark, else "i" / "j" / "k"
     body: Expr
 
-    def __init__(self, sub: str, body: Expr) -> None:
-        _set(self, "sub", sub)
-        _set(self, "body", body)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.sub, self.body) == (other.sub, other.body)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.sub, self.body))
-
 
 class Juxt(Record):
     parts: tuple[Expr, ...]  # len >= 2, flattened, no Void entries
-
-    def __init__(self, parts: tuple[Expr, ...]) -> None:
-        _set(self, "parts", parts)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.parts == other.parts
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.parts,))
 
 
 class Tuple4(Record):
@@ -121,15 +79,6 @@ class Tuple4(Record):
         bad = next((s for s in slots if not is_lof_expr(s)), None)
         if bad is not None:
             raise ValueError(f"tuple slot is not a plain-LoF expression: {bad!r}")
-        _set(self, "slots", slots)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.slots == other.slots
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.slots,))
 
 
 class Power(Record):
@@ -137,37 +86,10 @@ class Power(Record):
     body: Expr
     exponent: int  # >= 2; exponent 1 is normalized to Mark
 
-    def __init__(self, sub: str, body: Expr, exponent: int) -> None:
-        _set(self, "sub", sub)
-        _set(self, "body", body)
-        _set(self, "exponent", exponent)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.sub, self.body, self.exponent) == (
-                other.sub, other.body, other.exponent
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.sub, self.body, self.exponent))
-
 
 class ExpApply(Record):
     base: Expr
     exponent: Expr
-
-    def __init__(self, base: Expr, exponent: Expr) -> None:
-        _set(self, "base", base)
-        _set(self, "exponent", exponent)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.base, self.exponent) == (other.base, other.exponent)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.base, self.exponent))
 
 
 Expr = Union[Void, Var, Mark, Juxt, Tuple4, Power, ExpApply]

@@ -32,6 +32,8 @@ from .kernel import (
     Q8Op,
     QValue,
     Record,
+    Report,
+    Verdict,
     op_value,
     q8_apply,
     q8_mul,
@@ -350,7 +352,7 @@ def env_patterns(env: Mapping[str, QValue | bool] | None) -> dict[str, str] | No
 # Law suites
 # ---------------------------------------------------------------------------
 
-class LawCheck(Record):
+class LawCheck(Verdict, Record):
     name: str
     holds: bool
     counterexample: dict[str, str] | None
@@ -362,7 +364,7 @@ class LawCheck(Record):
     def to_json(self) -> dict:
         out: dict = {
             "name": self.name,
-            "verdict": "holds" if self.holds else "fails",
+            "verdict": self.verdict,
             "assignments_checked": self.assignments_checked,
         }
         if self.counterexample is not None:
@@ -372,20 +374,9 @@ class LawCheck(Record):
         return out
 
 
-class LawSuiteReport(Record):
+class LawSuiteReport(Report, Record):
     suite: str
     checks: tuple[LawCheck, ...]
-
-    @property
-    def all_hold(self) -> bool:
-        return all(c.holds for c in self.checks)
-
-    def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "all_hold": self.all_hold,
-            "checks": [c.to_json() for c in self.checks],
-        }
 
     def render(self) -> str:
         lines = [f"suite {self.suite}:"]
@@ -569,7 +560,7 @@ def _q8_relation_checks() -> list[LawCheck]:
 # Distribution matrix
 # ---------------------------------------------------------------------------
 
-class DistCell(Record):
+class DistCell(Verdict, Record):
     op1: str
     op2: str
     trivial: bool
@@ -582,7 +573,7 @@ class DistCell(Record):
             "op1": self.op1,
             "op2": self.op2,
             "trivial": self.trivial,
-            "verdict": "holds" if self.holds else "fails",
+            "verdict": self.verdict,
             "assignments_checked": self.assignments_checked,
         }
         if self.counterexample is not None:
@@ -718,18 +709,8 @@ def distribution_demos() -> DemoReport:
 # Assertion files
 # ---------------------------------------------------------------------------
 
-class AssertionReport(Record):
+class AssertionReport(Report, Record):
     checks: tuple[LawCheck, ...]
-
-    @property
-    def all_hold(self) -> bool:
-        return all(c.holds for c in self.checks)
-
-    def to_json(self) -> dict:
-        return {
-            "all_hold": self.all_hold,
-            "checks": [c.to_json() for c in self.checks],
-        }
 
     def render(self) -> str:
         lines = []

@@ -191,6 +191,14 @@ class TestDerivationAndConstruct:
         assert code == 1
         assert "[parameter m=True must be an integer in 1..3]" in out
 
+    def test_empty_derivation_list(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text("[]")
+        code, out, _ = run(capsys, "check-derivation", str(path))
+        assert (code, out) == (0, "(no derivations)\n")
+        code, out, _ = run(capsys, "--format", "json", "check-derivation", str(path))
+        assert (code, out) == (0, "[]\n")
+
     def test_construct_mark_slot(self, capsys):
         code, out, _ = run(capsys, "construct", "mark-slot", "2")
         assert code == 0

@@ -6,6 +6,10 @@ reprs reach users through the Tuple4 slot error, so they are pinned byte
 for byte.
 """
 
+import copy
+import operator
+import pickle
+
 import pytest
 
 from qcalc.braid import BraidGen, BraidRelationReport, BraidWord, RelationCheck
@@ -250,3 +254,34 @@ def test_validation_still_runs():
         BraidGen(1, 0)
     with pytest.raises(ValueError):
         BraidWord(2, (BraidGen(2, 1),))
+
+
+@pytest.mark.parametrize("value, text", CASES, ids=IDS)
+def test_every_record_is_truthy(value, text):
+    assert value
+
+
+@pytest.mark.parametrize("value, text", CASES, ids=IDS)
+def test_copies_and_pickles_are_equal(value, text):
+    twins = copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))
+    for twin in twins:
+        assert type(twin) is type(value)
+        assert twin == value and repr(twin) == text
+
+
+@pytest.mark.parametrize("value, text", CASES, ids=IDS)
+def test_no_order_across_classes(value, text):
+    fields = tuple(getattr(value, name) for name in value._fields)
+    other_class = next(v for v, _ in CASES if type(v) is not type(value))
+    assert value != fields and fields != value
+    for other in (other_class, fields, (), 0, None):
+        for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                compare(value, other)
+            with pytest.raises(TypeError):
+                compare(other, value)
+
+
+def test_no_order_between_qvalue_and_pair_value():
+    with pytest.raises(TypeError):
+        QValue(2) < BFValue(3)  # noqa: B015
