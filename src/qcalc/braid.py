@@ -166,9 +166,6 @@ class RelationCheck(Verdict, Record):
     name: str
     holds: bool
 
-    def to_json(self) -> dict:
-        return {"name": self.name, "verdict": self.verdict}
-
 
 class BraidRelationReport(Report, Record):
     arity: int

@@ -6,7 +6,10 @@ subcommand returns (payload, text, ok): the JSON document, the text output
 and whether every requested check passed; ``main`` alone prints one of the
 first two, as ``--format`` says, after the result is complete.
 Exit codes: 0 when every requested check passes, 1 when a check fails,
-2 on usage or syntax errors (reported to stderr with the input span).
+2 on a usage error.  An input error is a ValueError (the library's
+ParseError, EvalError and BudgetExceeded are ValueErrors), a KeyError or an
+OSError; ``main`` reports it as one line on stderr, with the input span for
+a ParseError.
 
 A command imports only the modules it runs, inside its function, so a cold
 ``qcalc group-table`` never loads the decider.  Names the package exports
@@ -20,21 +23,6 @@ import argparse
 import os
 import sys
 from pathlib import Path
-
-def _input_errors() -> tuple[type[Exception], ...]:
-    """The exceptions that ``main`` reports as usage errors.  The library's
-    own come from the modules that are loaded: one that is not loaded raised
-    none, so nothing is imported for this."""
-    errors: list[type[Exception]] = [ValueError, KeyError, OSError]
-    for module, name in (
-        ("textio", "ParseError"),
-        ("semantics", "EvalError"),
-        ("verifier", "BudgetExceeded"),
-    ):
-        loaded = sys.modules.get(f"{__package__}.{module}")
-        if loaded is not None:
-            errors.append(getattr(loaded, name))
-    return tuple(errors)
 
 
 def _parse_env(text: str) -> dict:
@@ -355,7 +343,7 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError:
         print("error: input is nested too deeply", file=sys.stderr)
         return 2
-    except _input_errors() as err:
+    except (ValueError, KeyError, OSError) as err:
         # A ParseError's text ends with its span.
         print(f"error: {err}", file=sys.stderr)
         return 2

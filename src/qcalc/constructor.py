@@ -7,13 +7,13 @@ Both constructions juxtapose single-mark selector factors of the shape
 pattern blocks every slot except the target, the operator routes the
 wanted source slot there, and the operator's sign is chosen so that the
 outer mark either cancels (plain output) or survives (marked output).
-The selector table is frozen below; a test re-derives it by brute force
-over the eight operator forms.
+Each selector's operator is read off the operators' signed permutations
+in ``kernel``.
 """
 
 from __future__ import annotations
 
-from .kernel import Q8Op, QValue, SignedPerm, q8_mul
+from .kernel import Q8Op, QValue, SignedPerm, q8_to_signed_perm
 from .semantics import evaluate
 from .textio import (
     Expr,
@@ -56,23 +56,15 @@ def interference(name: str) -> QValue:
     return evaluate(interference_expr(name), {})
 
 
-# Selector operators for unmarked output: entry (target, source) is the
-# operator whose action feeds source into target *with* a mark, so that
-# the selector's outer mark cancels it.  For marked output use the
-# negated operator.
-_SELECTOR_UNMARKED: dict[tuple[int, int], Q8Op] = {
-    (1, 1): Q8Op.M1, (1, 2): Q8Op.I, (1, 3): Q8Op.J, (1, 4): Q8Op.K,
-    (2, 1): Q8Op.MI, (2, 2): Q8Op.M1, (2, 3): Q8Op.MK, (2, 4): Q8Op.J,
-    (3, 1): Q8Op.MJ, (3, 2): Q8Op.K, (3, 3): Q8Op.M1, (3, 4): Q8Op.MI,
-    (4, 1): Q8Op.MK, (4, 2): Q8Op.MJ, (4, 3): Q8Op.I, (4, 4): Q8Op.M1,
-}
-
-
 def selector_op(target: int, source: int, marked: bool = False) -> Q8Op:
     """The operator routing `source` into `target` whose mark flag there is
-    opposite to the requested output flag."""
-    g = _SELECTOR_UNMARKED[(target, source)]
-    return q8_mul(g, Q8Op.M1) if marked else g
+    opposite to the requested output flag, so that the selector's outer
+    mark turns it into that flag."""
+    for g in Q8Op:
+        perm = q8_to_signed_perm(g)
+        if perm.target[target - 1] == source and perm.marked[target - 1] != marked:
+            return g
+    raise ValueError(f"no operator routes slot {source} into slot {target}")
 
 
 def op_form(g: Q8Op, body: Expr) -> Expr:

@@ -132,6 +132,14 @@ class Verdict:
     def verdict(self) -> str:
         return "holds" if self.holds else "fails"
 
+    def to_json(self) -> dict:
+        """The fields, with ``holds`` given as ``verdict``; a field that is
+        None or "" is left out (an empty counterexample is kept)."""
+        out = {k: v for k, v in zip(self._fields, self) if v is not None and v != ""}
+        del out["holds"]
+        out["verdict"] = self.verdict
+        return out
+
 
 class Report:
     """A record whose ``checks`` field is a tuple of Verdict records."""

@@ -40,7 +40,7 @@ EnvValue = Union[QValue, bool]
 Env = Mapping[str, EnvValue]
 
 
-class EvalError(Exception):
+class EvalError(ValueError):
     pass
 
 

@@ -41,7 +41,7 @@ class SourceSpan(Record):
             raise ValueError("span start after end")
 
 
-class ParseError(Exception):
+class ParseError(ValueError):
     """Syntax error with the offending span of the input text."""
 
     def __init__(self, message: str, span: SourceSpan) -> None:

@@ -61,7 +61,6 @@ from .textio import (
     free_vars,
     parse,
     parse_qlf,
-    print_expr,
 )
 
 DEFAULT_BUDGET = 16 ** 6
@@ -78,7 +77,7 @@ def assignment_budget() -> int:
         raise ValueError(f"QCALC_BUDGET must be an integer, not {raw!r}") from None
 
 
-class BudgetExceeded(Exception):
+class BudgetExceeded(ValueError):
     def __init__(self, num_variables: int, required: int, budget: int) -> None:
         super().__init__(
             f"{num_variables} variables need {required} assignments"
@@ -221,18 +220,25 @@ class _Planes:
     tuple variable, its value's bits with slot a highest, and one bit for a
     slot variable.  Row bit k is BDD level bits - 1 - k, so the first
     sorted variable is on top and the least path is the first row.
+
+    A slot variable's value is four equal planes, its one bit, so a tuple
+    literal's slot is plane 0 of that slot's value.
     """
 
     def __init__(self, spec: tuple[tuple[str, int], ...]) -> None:
         self.spec = spec
-        self.offset: dict[str, int] = {}
-        bits = 0
-        for name, dom in reversed(spec):
-            self.offset[name] = bits
-            bits += dom.bit_length() - 1
+        bits = sum(dom.bit_length() - 1 for _, dom in spec)
         self.bdd = _BDD(bits)
-        # masks[k] is the set of rows whose index has bit k set.
-        self.masks = [self.bdd.var(bits - 1 - k) for k in range(bits)]
+        # The planes of each variable's value, and its field's lowest row bit.
+        self.vars: dict[str, tuple[int, ...]] = {}
+        self.offset: dict[str, int] = {}
+        level = 0
+        for name, dom in spec:
+            width = dom.bit_length() - 1
+            masks = tuple(self.bdd.var(level + s) for s in range(width))
+            self.vars[name] = masks if width == 4 else masks * 4
+            level += width
+            self.offset[name] = bits - level
         # Rows where an exponent is not an operator value.
         self.bad = FALSE
 
@@ -252,8 +258,7 @@ class _Planes:
         if isinstance(e, Void):
             return (FALSE, FALSE, FALSE, FALSE)
         if isinstance(e, Var):
-            base = self.offset[e.name]
-            return tuple(reversed(self.masks[base:base + 4]))
+            return self.vars[e.name]
         if isinstance(e, Mark):
             return self.route(MARK_OPS[e.sub], self.value(e.body))
         if isinstance(e, Power):
@@ -265,7 +270,7 @@ class _Planes:
                 out = tuple(map(self.bdd.or_, out, self.value(p)))
             return out
         if isinstance(e, Tuple4):
-            return tuple(self.slot(s) for s in e.slots)
+            return tuple(self.value(s)[0] for s in e.slots)
         if isinstance(e, ExpApply):
             # An 8-way multiplexer: the rows where the exponent is the
             # value of g take the base routed by g.
@@ -285,17 +290,6 @@ class _Planes:
             self.bad = bdd.or_(self.bad, covered ^ 1)
             return tuple(out)
         raise TypeError(f"not an expression: {e!r}")
-
-    def slot(self, e: Expr) -> int:
-        if isinstance(e, Void):
-            return FALSE
-        if isinstance(e, Var):
-            return self.masks[self.offset[e.name]]
-        if isinstance(e, Mark):
-            return self.slot(e.body) ^ 1
-        if isinstance(e, Juxt):
-            return reduce(self.bdd.or_, map(self.slot, e.parts))
-        raise TypeError(f"not a plain-LoF expression: {print_expr(e)}")
 
 
 def check_equiv(
@@ -360,18 +354,6 @@ class LawCheck(Verdict, Record):
     note: str
 
     _defaults = {"note": str}
-
-    def to_json(self) -> dict:
-        out: dict = {
-            "name": self.name,
-            "verdict": self.verdict,
-            "assignments_checked": self.assignments_checked,
-        }
-        if self.counterexample is not None:
-            out["counterexample"] = self.counterexample
-        if self.note:
-            out["note"] = self.note
-        return out
 
 
 class LawSuiteReport(Report, Record):
@@ -567,18 +549,6 @@ class DistCell(Verdict, Record):
     holds: bool
     counterexample: dict[str, str] | None
     assignments_checked: int
-
-    def to_json(self) -> dict:
-        out = {
-            "op1": self.op1,
-            "op2": self.op2,
-            "trivial": self.trivial,
-            "verdict": self.verdict,
-            "assignments_checked": self.assignments_checked,
-        }
-        if self.counterexample is not None:
-            out["counterexample"] = self.counterexample
-        return out
 
 
 class DistributionReport(Record):

@@ -1,4 +1,6 @@
+import os
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -13,6 +15,13 @@ from qcalc.textio import (
     juxt,
     mark,
     power,
+)
+
+# pytest puts src on sys.path (pyproject.toml); the python processes that
+# tests start import qcalc from the same checkout.
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (SRC, os.environ.get("PYTHONPATH")) if p
 )
 
 qvalues = st.sampled_from(ALL_QVALUES)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +13,9 @@ from qcalc.braid import MAX_STRANDS
 from qcalc.cli import main
 from qcalc.derivations import builtin_derivation
 from qcalc.rewrite import validate_rules
-from qcalc.textio import print_expr
-from qcalc.verifier import SUITES
+from qcalc.semantics import EvalError
+from qcalc.textio import ParseError, print_expr
+from qcalc.verifier import SUITES, BudgetExceeded
 
 SHARED_LAWS = Path(__file__).resolve().parent.parent / "scripts" / "shared_laws.qlf"
 
@@ -293,6 +295,68 @@ def test_malformed_env_budget_stops_check_free_commands(capsys, monkeypatch, arg
     assert code == 2
     assert out == ""
     assert err == "error: QCALC_BUDGET must be an integer, not 'abc'\n"
+
+
+@pytest.mark.parametrize("error", [ParseError, EvalError, BudgetExceeded])
+def test_input_errors_are_value_errors(error):
+    assert issubclass(error, ValueError)
+
+
+@pytest.mark.parametrize(
+    "budget, assertion, message",
+    [
+        ("", "X^(Y) == X", "error: exponent value UUUM is not an operator value\n"),
+        ("16", "A B == A", "error: 2 variables need 256 assignments (budget 16)\n"),
+    ],
+    ids=["BadExponentValue", "BudgetExceeded"],
+)
+def test_library_error_is_one_line_without_traceback(budget, assertion, message):
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcalc.cli", "equiv", assertion],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, QCALC_BUDGET=budget),
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == message
+
+
+class TestVerdictJson:
+    """Every check record prints its fields, ``holds`` as ``verdict``, and
+    leaves out a field that is None or ""."""
+
+    def test_empty_counterexample_is_printed(self, capsys, tmp_path):
+        path = tmp_path / "edge.qlf"
+        path.write_text("[] == \n")
+        code, out, _ = run(capsys, "--format", "json", "equiv", "--file", str(path))
+        assert code == 1
+        assert json.loads(out)["checks"] == [
+            {
+                "assignments_checked": 1,
+                "counterexample": {},
+                "name": "L1",
+                "note": "[] ==",
+                "verdict": "fails",
+            }
+        ]
+
+    def test_holding_check_without_note_has_neither_key(self, capsys):
+        code, out, _ = run(capsys, "--format", "json", "laws", "lof_appendix_a")
+        assert code == 0
+        assert json.loads(out)["checks"][0] == {
+            "assignments_checked": 16,
+            "name": "A1-Position",
+            "verdict": "holds",
+        }
+
+    def test_relation_check(self, capsys):
+        code, out, _ = run(capsys, "--format", "json", "braid", "verify", "--n", "3")
+        assert code == 0
+        assert json.loads(out)["checks"][0] == {
+            "name": "s1 s2 s1 = s2 s1 s2",
+            "verdict": "holds",
+        }
 
 
 def test_unknown_suite_names_the_suites(capsys):

@@ -82,8 +82,8 @@ class TestMarkSlot:
 
 class TestSelectors:
     def test_table_rederived_by_search(self):
-        # The frozen selector table is exactly the unique operator per
-        # (target, source, flag) whose routing and mark flag fit.
+        # selector_op is exactly the unique operator per (target, source,
+        # flag) whose routing and mark flag fit.
         for t, s, flag in product((1, 2, 3, 4), (1, 2, 3, 4), (False, True)):
             candidates = [
                 g
