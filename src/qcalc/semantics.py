@@ -16,7 +16,6 @@ from .kernel import (
     lof_juxt,
     lof_mark,
     op_of_value,
-    op_value,
     q8_apply,
     q8_power,
 )

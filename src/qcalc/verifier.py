@@ -12,16 +12,17 @@ A value under every assignment is four planes, one per slot, and each
 plane is a BDD over the bits of the assignment index.  A mark moves and
 complements planes as its signed permutation in ``kernel`` says,
 juxtaposition is plane-wise or, and an exponent application selects, per
-assignment, one of the eight operator actions.  The first counterexample
-is the least row of the difference, and the cost follows the size of the
-terms, not the number of assignments.  The per-assignment semantics is
+assignment, one of the eight operator actions.  Equal functions have
+equal edges, so the first counterexample, the least row where a pair of
+planes differs or an exponent is bad, is found by walking the edges,
+without building a difference.  The cost follows the size of the terms,
+not the number of assignments.  The per-assignment semantics is
 exactly ``semantics.evaluate`` (property-tested against it).
 """
 
 from __future__ import annotations
 
 import os
-from functools import reduce
 from itertools import permutations
 from operator import itemgetter, xor
 from typing import Callable, Iterable, Mapping, Sequence
@@ -116,7 +117,8 @@ class _BDD:
     Computers C-35(8), 1986; Brace, Rudell & Bryant, DAC 1990) for one
     check.  ``nodes[n]`` is (level, high, low), level 0 on top: node n goes
     to high if that level's bit is set, else to low.  A stored low edge is
-    never complemented, so equal functions get the same edge.
+    never complemented, so equal functions get the same edge.  AND alone
+    builds nodes; ``least`` finds where functions differ by reading edges.
     """
 
     def __init__(self, levels: int) -> None:
@@ -126,30 +128,16 @@ class _BDD:
         self.nodes = [(levels, TRUE, TRUE)]
         self.nodes += [(v, FALSE, TRUE) for v in range(levels)]
         self.unique = {key: n for n, key in enumerate(self.nodes)}
-        self.and_cache: dict[tuple[int, int], int] = {}
-        self.xor_cache: dict[tuple[int, int], int] = {}
+        self.and_cache: dict[int, int] = {}
 
     def var(self, v: int) -> int:
         """The function that is true where the bit at level v is set."""
         return (v + 1) << 1 | 1
 
-    def _split(self, op, f: int, g: int) -> int:
-        # Shannon expansion of op(f, g) on the top level of f and g.
-        fv, fh, fl = self.nodes[f >> 1]
-        gv, gh, gl = self.nodes[g >> 1]
-        v = fv if fv < gv else gv
-        fh, fl = (fh ^ (f & 1), fl ^ (f & 1)) if fv == v else (f, f)
-        gh, gl = (gh ^ (g & 1), gl ^ (g & 1)) if gv == v else (g, g)
-        high, low = op(fh, gh), op(fl, gl)
-        if high == low:
-            return low
-        flip = low & 1
-        key = (v, high ^ flip, low ^ flip)
-        n = self.unique.get(key)
-        if n is None:
-            n = self.unique[key] = len(self.nodes)
-            self.nodes.append(key)
-        return n << 1 | flip
+    def cofactor(self, f: int, v: int, bit: int) -> int:
+        """f with the bit at level v fixed; f's top level is v or below."""
+        fv, high, low = self.nodes[f >> 1]
+        return (low, high)[bit] ^ (f & 1) if fv == v else f
 
     def and_(self, f: int, g: int) -> int:
         if f > g:
@@ -158,47 +146,60 @@ class _BDD:
             return g
         if f == FALSE or f ^ g == 1:
             return FALSE
-        r = self.and_cache.get((f, g))
-        if r is None:
-            r = self.and_cache[f, g] = self._split(self.and_, f, g)
+        key = f << 32 | g
+        r = self.and_cache.get(key)
+        if r is not None:
+            return r
+        # Shannon expansion on the top level of f and g.
+        fv, fh, fl = self.nodes[f >> 1]
+        gv, gh, gl = self.nodes[g >> 1]
+        v = fv if fv < gv else gv
+        fh, fl = (fh ^ (f & 1), fl ^ (f & 1)) if fv == v else (f, f)
+        gh, gl = (gh ^ (g & 1), gl ^ (g & 1)) if gv == v else (g, g)
+        high, low = self.and_(fh, gh), self.and_(fl, gl)
+        if high == low:
+            r = low
+        else:
+            flip = low & 1
+            node = (v, high ^ flip, low ^ flip)
+            n = self.unique.get(node)
+            if n is None:
+                n = self.unique[node] = len(self.nodes)
+                self.nodes.append(node)
+            r = n << 1 | flip
+        self.and_cache[key] = r
         return r
 
     def or_(self, f: int, g: int) -> int:
         return self.and_(f ^ 1, g ^ 1) ^ 1
 
-    def xor(self, f: int, g: int) -> int:
-        # Complements factor out: xor(f ^ 1, g) = xor(f, g) ^ 1.
-        flip = (f ^ g) & 1
-        f &= -2
-        g &= -2
-        if f > g:
-            f, g = g, f
-        if f == g:
-            return FALSE ^ flip
-        if f == TRUE:
-            return g ^ 1 ^ flip
-        r = self.xor_cache.get((f, g))
-        if r is None:
-            r = self.xor_cache[f, g] = self._split(self.xor, f, g)
-        return r ^ flip
-
-    def least(self, f: int) -> int:
-        """The least row where f (not FALSE) holds: 0-branches first."""
+    def least(self, fs: Iterable[int], gs: Iterable[int]) -> int | None:
+        """The least row where some edge of fs differs from its partner in
+        gs, or None if none does.  It builds no node: level by level, the
+        row takes the low branch if a pair of low cofactors still differs,
+        else the high one, and pairs that agree there are dropped.  Equal
+        functions have equal edges, so "differs" is an edge comparison."""
+        pairs = [(f, g) for f, g in zip(fs, gs) if f != g]
         row = 0
-        while f > FALSE:
-            v, high, low = self.nodes[f >> 1]
-            flip = f & 1
-            f = low ^ flip
-            if f == FALSE:
-                row |= 1 << (self.levels - 1 - v)
-                f = high ^ flip
-        return row
+        while pairs:
+            v = min(self.nodes[e >> 1][0] for pair in pairs for e in pair)
+            if v == self.levels:
+                return row
+            for bit in (0, 1):
+                sub = [(self.cofactor(f, v, bit), self.cofactor(g, v, bit))
+                       for f, g in pairs]
+                sub = [(f, g) for f, g in sub if f != g]
+                if sub:
+                    break
+            pairs = sub
+            row |= bit << (self.levels - 1 - v)
+        return None
 
     def at(self, f: int, row: int) -> bool:
         """f's value at one row."""
         while f > FALSE:
-            v, high, low = self.nodes[f >> 1]
-            f = (high if row >> (self.levels - 1 - v) & 1 else low) ^ (f & 1)
+            v = self.nodes[f >> 1][0]
+            f = self.cofactor(f, v, row >> (self.levels - 1 - v) & 1)
         return f == TRUE
 
 
@@ -319,10 +320,9 @@ def check_equiv(
     planes = _Planes(spec)
     bdd = planes.bdd
     sides = planes.value(a), planes.value(b)
-    hits = reduce(bdd.or_, map(bdd.xor, *sides), planes.bad)
-    if hits == FALSE:
+    row = bdd.least((*sides[0], planes.bad), (*sides[1], FALSE))
+    if row is None:
         return EquivResult(True, None, count)
-    row = bdd.least(hits)
     env = planes.assignment(row)
     if bdd.at(planes.bad, row):
         # evaluate raises here, with the error the scalar semantics give

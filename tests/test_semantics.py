@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import full_envs, q_exprs, qvalues
-from qcalc.kernel import ALL_QVALUES, Q8Op, QValue, q8_apply, q8_mul
+from qcalc.kernel import ALL_QVALUES, Q8Op, QValue, op_value, q8_apply, q8_mul
 from qcalc.semantics import (
     ALL_BFVALUES,
     BF_FALSE,
@@ -24,7 +24,6 @@ from qcalc.semantics import (
     juxtapose,
     solve_bf_embeddings,
 )
-from qcalc.semantics import op_value
 from qcalc.textio import Var, parse, print_expr
 
 

@@ -264,12 +264,17 @@ _formulas = st.recursive(
 
 
 class TestBDD:
-    @given(st.integers(1, 8), st.lists(_formulas, min_size=1, max_size=6))
+    @given(
+        st.integers(1, 8),
+        st.lists(_formulas, min_size=1, max_size=6),
+        st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=1, max_size=5),
+    )
     @settings(max_examples=200, deadline=None)
-    def test_manager_matches_truth_tables(self, levels, formulas):
+    def test_manager_matches_truth_tables(self, levels, formulas, picks):
         # Each formula is built twice, as a BDD edge and as a truth table:
         # bit r of the table is the value at row r, and row bit k is level
-        # levels - 1 - k.
+        # levels - 1 - k.  XOR is built from AND and OR, as the manager has
+        # no XOR of its own.
         bdd = verifier._BDD(levels)
         rows = 1 << levels
         full = (1 << rows) - 1
@@ -287,7 +292,7 @@ class TestBDD:
                 return bdd.and_(e, g), s & t
             if f[0] == "or":
                 return bdd.or_(e, g), s | t
-            return bdd.xor(e, g), s ^ t
+            return bdd.or_(bdd.and_(e, g ^ 1), bdd.and_(e ^ 1, g)), s ^ t
 
         built = [build(f) for f in formulas]
         built += [(verifier.TRUE, full), (verifier.FALSE, 0)]
@@ -295,12 +300,65 @@ class TestBDD:
             assert [bdd.at(edge, r) for r in range(rows)] == [
                 bool(table >> r & 1) for r in range(rows)
             ]
-            if table:
-                assert bdd.least(edge) == (table & -table).bit_length() - 1
+            least = bdd.least((edge,), (verifier.FALSE,))
+            assert least == ((table & -table).bit_length() - 1 if table else None)
         # Canonicity: equal functions, equal edges.
         for edge, table in built:
             for other, other_table in built:
                 assert (edge == other) == (table == other_table)
+        # The first row where some pair differs is the lowest set bit of
+        # the OR of the pairs' XORs, read off the edges without a new node.
+        size = len(bdd.nodes)
+        pairs = [(built[i % len(built)], built[j % len(built)]) for i, j in picks]
+        fs = tuple(f for (f, _), _ in pairs)
+        gs = tuple(g for _, (g, _) in pairs)
+        hits = 0
+        for (_, s), (_, t) in pairs:
+            hits |= s ^ t
+        got = bdd.least(fs, gs)
+        assert got == ((hits & -hits).bit_length() - 1 if hits else None)
+        assert (got is None) == all(s == t for (_, s), (_, t) in pairs)
+        assert len(bdd.nodes) == size
+
+    @pytest.mark.parametrize(
+        "lhs, rhs",
+        [
+            # Six tuple variables; the sides first differ at row 1024.
+            (
+                "[[A]i^3 [B]i^3]i C D E F",
+                "[[A C D E F]i^3 [B C D E F]i^3]i [[[F D]j [E]]j D]j",
+            ),
+            # The first hit is a bad-exponent row, before any difference.
+            ("B^(A) C", "B C"),
+        ],
+    )
+    def test_first_row_search_builds_no_node(self, monkeypatch, lhs, rhs):
+        # The search runs right after both sides' value: the manager's size
+        # at that point must be its size when check_equiv is done.
+        seen = []
+        search = verifier._BDD.least
+
+        def spy(bdd, fs, gs):
+            seen.append((bdd, len(bdd.nodes)))
+            return search(bdd, fs, gs)
+
+        monkeypatch.setattr(verifier._BDD, "least", spy)
+        a, b = parse(lhs), parse(rhs)
+        spec = _var_spec((a, b))
+        try:
+            want = _scalar_first_difference(spec, a, b)
+        except BadExponentValue as err:
+            with pytest.raises(BadExponentValue) as got:
+                check_equiv(a, b)
+            assert got.value.value == err.value
+        else:
+            assert want is not None and not oracle.equivalent(a, b)
+            res = check_equiv(a, b)
+            idx, env = want
+            assert (res.equivalent, res.counterexample) == (False, env)
+            assert res.assignments_checked == idx + 1
+        [(bdd, size)] = seen
+        assert len(bdd.nodes) == size
 
 
 class TestLawSuites:
