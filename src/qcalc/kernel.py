@@ -9,6 +9,7 @@ normal way to verify anything.
 from __future__ import annotations
 
 import enum
+from itertools import product
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
@@ -156,49 +157,53 @@ class Report:
         return out
 
 
-class QValue(Record):
-    """A 4-tuple of LoF values packed into 4 bits.
+class Packed:
+    """A record whose one field, ``bits``, packs ``_width`` LoF values, the
+    first slot highest; a pattern spells them as M (marked) and U, and
+    ``_noun`` names it in errors.  Listed before Record among the bases."""
 
-    Slot `a` is bit 3 and slot `d` is bit 0, so ``QValue(0b1001)`` is the
-    value (marked, unmarked, unmarked, marked) and prints as ``MUUM``.
-    Values order by their bits.
-    """
+    _fields = ("bits",)
+    bits = property(itemgetter(0))
 
-    bits: int
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._slot_table = tuple(product((False, True), repeat=cls._width))
+        cls._bits_of = {slots: bits for bits, slots in enumerate(cls._slot_table)}
 
     def __init__(self, bits: int) -> None:
-        if not 0 <= bits <= 15:
-            raise ValueError(f"QValue bits out of range: {bits}")
+        if not 0 <= bits < 1 << self._width:
+            raise ValueError(f"{type(self).__qualname__} bits out of range: {bits}")
 
     @classmethod
-    def from_slots(cls, a: bool, b: bool, c: bool, d: bool) -> QValue:
-        return cls((a << 3) | (b << 2) | (c << 1) | int(d))
+    def from_slots(cls, *slots: bool) -> Packed:
+        return cls(cls._bits_of[slots])
 
     @classmethod
-    def from_pattern(cls, text: str) -> QValue:
-        """Build a value from a 4-char pattern like ``MUUM`` (slots a,b,c,d)."""
-        if len(text) != 4 or set(text) - {"M", "U"}:
-            raise ValueError(f"bad value pattern {text!r}; want 4 chars of M/U")
+    def from_pattern(cls, text: str) -> Packed:
+        if len(text) != cls._width or set(text) - {"M", "U"}:
+            raise ValueError(
+                f"bad {cls._noun} pattern {text!r}; want {cls._width} chars of M/U"
+            )
         return cls.from_slots(*(ch == "M" for ch in text))
 
     @property
-    def slots(self) -> tuple[bool, bool, bool, bool]:
-        return (
-            bool(self.bits & 8),
-            bool(self.bits & 4),
-            bool(self.bits & 2),
-            bool(self.bits & 1),
-        )
-
-    def slot(self, index: int) -> bool:
-        """Slot by 1-based position (1=a .. 4=d)."""
-        return self.slots[index - 1]
+    def slots(self) -> tuple[bool, ...]:
+        return self._slot_table[self[0]]
 
     def pattern(self) -> str:
         return "".join("M" if s else "U" for s in self.slots)
 
     def __repr__(self) -> str:
-        return f"QValue({self.pattern()!r})"
+        return f"{type(self).__qualname__}({self.pattern()!r})"
+
+
+class QValue(Packed, Record):
+    """A 4-tuple of LoF values, slots a to d: ``QValue(0b1001)`` is (marked,
+    unmarked, unmarked, marked) and prints as ``MUUM``.  Values order by
+    their bits."""
+
+    _width = 4
+    _noun = "value"
 
 
 ALL_QVALUES: tuple[QValue, ...] = tuple(QValue(n) for n in range(16))

@@ -630,18 +630,7 @@ class DerivationReport(Record):
             "name": self.name,
             "ok": self.ok,
             "end_matches": self.end_matches,
-            "steps": [
-                {
-                    "index": s.index,
-                    "rule": s.rule,
-                    "applied": s.applied,
-                    "error": s.error,
-                    "matches_recorded": s.matches_recorded,
-                    "semantic_ok": s.semantic_ok,
-                    "term": s.term,
-                }
-                for s in self.steps
-            ],
+            "steps": [dict(zip(s._fields, s)) for s in self.steps],
         }
 
     def render(self) -> str:

@@ -11,6 +11,7 @@ from typing import Mapping, Union
 from .kernel import (
     MARK_OPS,
     LoFValue,
+    Packed,
     QValue,
     Record,
     lof_juxt,
@@ -179,34 +180,11 @@ def connective(kind: str, a: Expr, b: Expr) -> Expr:
 # Pair mode (2-tuples with a single imaginary mark)
 # ---------------------------------------------------------------------------
 
-class BFValue(Record):
+class BFValue(Packed, Record):
     """A pair of LoF values; bit 1 is the first slot, bit 0 the second."""
 
-    bits: int
-
-    def __init__(self, bits: int) -> None:
-        if not 0 <= bits <= 3:
-            raise ValueError(f"BFValue bits out of range: {bits}")
-
-    @classmethod
-    def from_slots(cls, x: bool, y: bool) -> BFValue:
-        return cls((x << 1) | int(y))
-
-    @classmethod
-    def from_pattern(cls, text: str) -> BFValue:
-        if len(text) != 2 or set(text) - {"M", "U"}:
-            raise ValueError(f"bad pair pattern {text!r}")
-        return cls.from_slots(text[0] == "M", text[1] == "M")
-
-    @property
-    def slots(self) -> tuple[bool, bool]:
-        return (bool(self.bits & 2), bool(self.bits & 1))
-
-    def pattern(self) -> str:
-        return "".join("M" if s else "U" for s in self.slots)
-
-    def __repr__(self) -> str:
-        return f"BFValue({self.pattern()!r})"
+    _width = 2
+    _noun = "pair"
 
 
 ALL_BFVALUES = tuple(BFValue(n) for n in range(4))

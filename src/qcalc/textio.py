@@ -22,7 +22,7 @@ comment.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from .kernel import Record
 
@@ -328,26 +328,32 @@ def parse_qlf(text: str) -> list[QlfLine]:
 
 def print_expr(e: Expr) -> str:
     """Canonical text form; parse(print_expr(e)) == e for normalized ASTs."""
+    return _text(e, print_expr, False)
+
+
+def _text(e: Expr, text: Callable[[Expr], str], sort: bool) -> str:
+    """e's text with each child written by text; a juxtaposition's parts
+    are sorted when sort is set.  An exponent base is grouped unless it
+    prints as a single item."""
     if isinstance(e, Void):
         return ""
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Mark):
-        return f"[{print_expr(e.body)}]{e.sub}"
+        return f"[{text(e.body)}]{e.sub}"
     if isinstance(e, Power):
-        return f"[{print_expr(e.body)}]{e.sub}^{e.exponent}"
+        return f"[{text(e.body)}]{e.sub}^{e.exponent}"
     if isinstance(e, Juxt):
-        return " ".join(print_expr(p) for p in e.parts)
+        parts = map(text, e.parts)
+        return " ".join(sorted(parts) if sort else parts)
     if isinstance(e, Tuple4):
-        return "{" + ", ".join(print_expr(s) for s in e.slots) + "}"
+        return "{" + ", ".join(map(text, e.slots)) + "}"
     if isinstance(e, ExpApply):
-        return f"{_base_text(e.base, print_expr(e.base))}^({print_expr(e.exponent)})"
+        base = text(e.base)
+        if isinstance(e.base, (Juxt, Void)):
+            base = f"({base})"
+        return f"{base}^({text(e.exponent)})"
     raise TypeError(f"not an expression: {e!r}")
-
-
-def _base_text(base: Expr, text: str) -> str:
-    """An exponent base's text, grouped unless it prints as a single item."""
-    return f"({text})" if isinstance(base, (Juxt, Void)) else text
 
 
 # ---------------------------------------------------------------------------
@@ -381,25 +387,9 @@ def canonical_text(e: Expr) -> str:
     repr are unaffected and shared subterms are keyed once.
     """
     key = e.__dict__.get("_canonical_text")
-    if key is not None:
-        return key
-    if isinstance(e, Void):
-        key = ""
-    elif isinstance(e, Var):
-        key = e.name
-    elif isinstance(e, Mark):
-        key = f"[{canonical_text(e.body)}]{e.sub}"
-    elif isinstance(e, Power):
-        key = f"[{canonical_text(e.body)}]{e.sub}^{e.exponent}"
-    elif isinstance(e, Juxt):
-        key = " ".join(sorted(canonical_text(p) for p in e.parts))
-    elif isinstance(e, Tuple4):
-        key = "{" + ", ".join(canonical_text(s) for s in e.slots) + "}"
-    elif isinstance(e, ExpApply):
-        key = f"{_base_text(e.base, canonical_text(e.base))}^({canonical_text(e.exponent)})"
-    else:
-        raise TypeError(f"not an expression: {e!r}")
-    object.__setattr__(e, "_canonical_text", key)
+    if key is None:
+        key = _text(e, canonical_text, True)
+        object.__setattr__(e, "_canonical_text", key)
     return key
 
 

@@ -15,9 +15,11 @@ juxtaposition is plane-wise or, and an exponent application selects, per
 assignment, one of the eight operator actions.  Equal functions have
 equal edges, so the first counterexample, the least row where a pair of
 planes differs or an exponent is bad, is found by walking the edges,
-without building a difference.  The cost follows the size of the terms,
-not the number of assignments.  The per-assignment semantics is
-exactly ``semantics.evaluate`` (property-tested against it).
+without building a difference.  The cost follows the size of the BDDs,
+not the number of assignments, and the size depends on the level order,
+the sorted names: ``[[A0]i [B0]i]j ... [[A7]i [B7]i]j`` builds 1,705
+nodes, 321 when each pair's names sort together.  The per-assignment
+semantics is exactly ``semantics.evaluate`` (property-tested against it).
 """
 
 from __future__ import annotations
@@ -632,6 +634,10 @@ class DemoReport(Record):
         if self.demo2_printed_holds and not self.demo2_template_holds:
             return "printed"
         return "ambiguous"
+
+    @property
+    def ok(self) -> bool:
+        return self.demo1_holds and self.demo2_resolved == "template"
 
     def to_json(self) -> dict:
         return {

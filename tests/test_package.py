@@ -4,6 +4,7 @@ Import sets are observed in fresh interpreters, since this test process
 has long since imported every module.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -160,3 +161,36 @@ def test_no_module_imports_dataclasses():
     )
     assert "dataclasses" not in added
     assert {f"qcalc.{m}" for m in MODULES} <= set(added)
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names bound by the module's top-level imports and never read."""
+    tree = ast.parse(path.read_text())
+    bound = [
+        (alias.asname or alias.name).split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in (SRC / "qcalc").glob("*.py") if p.stem != "__init__"),
+    ids=lambda p: p.stem,
+)
+def test_no_module_keeps_a_dead_import(path):
+    assert _unused_imports(path) == []
+
+
+def test_dead_import_scan_sees_an_unused_name(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "from __future__ import annotations\n"
+        "import os.path\nfrom typing import Mapping, Sequence as Seq\n"
+        "def f(x: Mapping) -> None:\n    return os.sep\n"
+    )
+    assert _unused_imports(path) == ["Seq"]

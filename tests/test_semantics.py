@@ -178,6 +178,27 @@ class TestConnectives:
         assert bf_evaluate(and_i, both) == BF_TRUE
 
 
+@pytest.mark.parametrize("cls, width, noun", [(QValue, 4, "value"), (BFValue, 2, "pair")])
+def test_packed_values_share_one_encoding(cls, width, noun):
+    """Both value classes pack their slots first slot highest and spell
+    them as M/U patterns, with the same checks."""
+    for bits in range(1 << width):
+        v = cls(bits)
+        assert v.slots == tuple(bool(bits >> k & 1) for k in reversed(range(width)))
+        assert cls.from_slots(*v.slots) == v == cls.from_pattern(v.pattern())
+        assert v.pattern() == "".join("M" if s else "U" for s in v.slots)
+        assert repr(v) == f"{cls.__name__}({v.pattern()!r})"
+    assert cls.from_pattern("M" + "U" * (width - 1)).bits == 1 << (width - 1)
+    for bad in ("M" * (width + 1), "X" * width):
+        with pytest.raises(ValueError) as err:
+            cls.from_pattern(bad)
+        assert str(err.value) == f"bad {noun} pattern {bad!r}; want {width} chars of M/U"
+    for bits in (-1, 1 << width):
+        with pytest.raises(ValueError) as err:
+            cls(bits)
+        assert str(err.value) == f"{cls.__name__} bits out of range: {bits}"
+
+
 class TestPairMode:
     def test_defining_equation(self):
         assert bf_apply("i", BFValue.from_pattern("UU")) == BFValue.from_pattern("MU")

@@ -17,6 +17,7 @@ from qcalc.verifier import (
     _var_spec,
     ALPHAS,
     BudgetExceeded,
+    DemoReport,
     appendix_b_laws,
     check_assertions,
     check_equiv,
@@ -211,7 +212,7 @@ class TestCheckEquiv:
 
         assert evaluate(ac_canon(e), env) == evaluate(e, env)
 
-    def test_open_exponent_falls_back_to_scalar(self):
+    def test_open_exponent_defined_in_every_row(self):
         # [Y] Y is all-marked for every Y, an operator value, so the
         # exponent is open but defined in every row.
         res = check_equiv("X^([Y] Y)", "[X]")
@@ -441,6 +442,14 @@ class TestDistribution:
         assert demos.demo2_template_holds
         assert not demos.demo2_printed_holds
         assert demos.demo2_resolved == "template"
+        assert demos.ok
+
+    @pytest.mark.parametrize(
+        "demo1, template, printed",
+        [(False, True, False), (True, True, True), (True, False, True), (True, False, False)],
+    )
+    def test_demos_fail_unless_only_the_template_form_holds(self, demo1, template, printed):
+        assert not DemoReport(demo1, template, printed).ok
 
 
 class TestOracleAgreement:
