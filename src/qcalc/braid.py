@@ -28,8 +28,8 @@ from .kernel import (
 )
 from .textio import mark as mark_expr
 
-# The largest strand count the CLI and `verify_braid_relations` accept by
-# default; the library functions themselves take any arity.
+# The largest strand count the CLI and `verify_braid_relations` accept;
+# the other library functions take any arity.
 MAX_STRANDS = 8
 
 
@@ -179,61 +179,41 @@ class BraidRelationReport(Report, Record):
         return "\n".join(lines)
 
 
-def verify_braid_relations(n: int, limit: int = MAX_STRANDS) -> BraidRelationReport:
+def verify_braid_relations(n: int) -> BraidRelationReport:
     """Check, as signed-permutation identities: far commutation, the
     adjacent braid relation (in both the positive and the inverse form),
     and that every generator has order four.  The arity is capped by
-    `limit` (relation counts grow quadratically)."""
+    MAX_STRANDS (relation counts grow quadratically)."""
     if n < 2:
         raise ValueError("need at least 2 strands")
-    if n > limit:
-        raise ValueError(f"arity {n} above the configured bound {limit}")
+    if n > MAX_STRANDS:
+        raise ValueError(f"arity {n} above the configured bound {MAX_STRANDS}")
 
     def perm(text: str) -> SignedPerm:
         return braid_to_signed_perm(parse_braid_word(text, n))
 
-    checks = []
-    for i in range(1, n):
-        for j in range(1, n):
-            if j - i > 1:
-                checks.append(
-                    RelationCheck(
-                        f"s{i} s{j} = s{j} s{i}",
-                        perm(f"s{i} s{j}") == perm(f"s{j} s{i}"),
-                    )
-                )
+    # (name, word, word) of each relation, in report order; the empty
+    # word is the identity.
+    relations = [
+        (f"s{i} s{j} = s{j} s{i}", f"s{i} s{j}", f"s{j} s{i}")
+        for i in range(1, n)
+        for j in range(i + 2, n)
+    ]
     for i in range(1, n - 1):
-        j = i + 1
-        checks.append(
-            RelationCheck(
-                f"s{i} s{j} s{i} = s{j} s{i} s{j}",
-                perm(f"s{i} s{j} s{i}") == perm(f"s{j} s{i} s{j}"),
-            )
-        )
-        checks.append(
-            RelationCheck(
-                f"s{i}' s{j}' s{i}' = s{j}' s{i}' s{j}'",
-                perm(f"s{i}' s{j}' s{i}'") == perm(f"s{j}' s{i}' s{j}'"),
-            )
-        )
-    for k in range(1, n):
-        checks.append(
-            RelationCheck(
-                f"s{k}^4 = 1",
-                perm(f"s{k} s{k} s{k} s{k}") == SignedPerm.identity(n),
-            )
-        )
+        for a, b in ((f"s{i}", f"s{i + 1}"), (f"s{i}'", f"s{i + 1}'")):
+            relations.append((f"{a} {b} {a} = {b} {a} {b}", f"{a} {b} {a}", f"{b} {a} {b}"))
+    relations += [(f"s{k}^4 = 1", f"s{k} " * 4, "") for k in range(1, n)]
+    checks = [RelationCheck(name, perm(lhs) == perm(rhs)) for name, lhs, rhs in relations]
     return BraidRelationReport(n, tuple(checks))
 
 
 def quaternion_closure() -> list[SignedPerm]:
     """Closure of the two generating 4-strand words in the signed
     permutations; expected to be the eight operator actions."""
-    gens = [
-        braid_to_signed_perm(parse_braid_word(_QUATERNION_WORDS["i"], 4)),
-        braid_to_signed_perm(parse_braid_word(_QUATERNION_WORDS["j"], 4)),
-    ]
-    return generate_closure(gens)
+    return generate_closure(
+        braid_to_signed_perm(parse_braid_word(_QUATERNION_WORDS[axis], 4))
+        for axis in "ij"
+    )
 
 
 def closure_is_q8() -> bool:

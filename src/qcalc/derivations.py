@@ -68,15 +68,13 @@ class _Script:
             )
         return self
 
-    def done(self, end: Expr | str | None = None) -> Derivation:
-        end_expr = self.current
-        if end is not None:
-            end_expr = parse(end) if isinstance(end, str) else end
-            if not ac_equal(self.current, end_expr):
-                raise AssertionError(
-                    f"{self.name}: ends at {print_expr(self.current)!r},"
-                    f" not {print_expr(end_expr) if not isinstance(end, str) else end!r}"
-                )
+    def done(self, end: Expr | str) -> Derivation:
+        end_expr = parse(end) if isinstance(end, str) else end
+        if not ac_equal(self.current, end_expr):
+            raise AssertionError(
+                f"{self.name}: ends at {print_expr(self.current)!r},"
+                f" not {print_expr(end_expr) if not isinstance(end, str) else end!r}"
+            )
         return Derivation(self.name, self.start, tuple(self.steps), end_expr)
 
 

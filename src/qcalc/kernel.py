@@ -240,6 +240,10 @@ class Q8Op(enum.Enum):
 
 _Q8_BY_PARTS = {(op.negated, op.axis): op for op in Q8Op}
 
+# The subscripts of the three imaginary marks, which are also the axes of
+# the quaternion units.
+IMAGINARY_SUBS = ("i", "j", "k")
+
 # Axis products for the quaternion units, written g*h with g applied first:
 # ij = k, jk = i, ki = j and the reversed orders pick up a sign.
 _AXIS_MUL: dict[tuple[str, str], tuple[bool, str]] = {
@@ -254,7 +258,7 @@ _AXIS_MUL: dict[tuple[str, str], tuple[bool, str]] = {
     ("k", "j"): (True, "i"),
     ("i", "k"): (True, "j"),
 }
-for _axis in ("i", "j", "k"):
+for _axis in IMAGINARY_SUBS:
     _AXIS_MUL[("1", _axis)] = (False, _axis)
     _AXIS_MUL[(_axis, "1")] = (False, _axis)
 
@@ -310,10 +314,15 @@ class SignedPerm(Record):
         return len(self.target)
 
     def then(self, other: SignedPerm) -> SignedPerm:
-        """Composite that applies self first, then other."""
-        if other.arity != self.arity:
+        """Composite that applies self first, then other.  A composite of
+        signed permutations is one, so it is not validated again."""
+        (first_target, first_marked), (target, marked) = self, other
+        if len(target) != len(first_target):
             raise ValueError("arity mismatch in composition")
-        return SignedPerm(*_then_key(*self, *other))
+        return tuple.__new__(SignedPerm, (
+            tuple([first_target[t - 1] for t in target]),
+            tuple([m ^ first_marked[t - 1] for t, m in zip(target, marked)]),
+        ))
 
     def inverse(self) -> SignedPerm:
         target = [0] * self.arity
@@ -413,29 +422,10 @@ def generate_closure(generators: Iterable[SignedPerm]) -> list[SignedPerm]:
     return sorted(seen)
 
 
-def _then_key(
-    first_target: tuple[int, ...],
-    first_marked: tuple[bool, ...],
-    target: tuple[int, ...],
-    marked: tuple[bool, ...],
-) -> tuple[tuple[int, ...], tuple[bool, ...]]:
-    """(target, marked) of the composite applying the first signed
-    permutation, then the second."""
-    return (
-        tuple([first_target[t - 1] for t in target]),
-        tuple([m ^ first_marked[t - 1] for t, m in zip(target, marked)]),
-    )
-
-
 def cayley_table(elements: Sequence[SignedPerm]) -> list[list[int]]:
-    """Index-valued multiplication table (row applied first, column second).
-
-    Products are composed as (target, marked) keys; building a SignedPerm
-    for each of them would validate all n^2 of them again.
-    """
-    keys = [(p.target, p.marked) for p in elements]
-    index = {key: i for i, key in enumerate(keys)}
-    return [[index[_then_key(*g, *h)] for h in keys] for g in keys]
+    """Index-valued multiplication table (row applied first, column second)."""
+    index = {p: i for i, p in enumerate(elements)}
+    return [[index[g.then(h)] for h in elements] for g in elements]
 
 
 def is_isomorphic_to_q8(elements: Sequence[SignedPerm]) -> bool:

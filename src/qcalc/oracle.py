@@ -129,9 +129,6 @@ class _SlotTables:
 
 def equivalent(a: Expr, b: Expr) -> bool:
     """Decide equivalence by comparing the four slot truth tables."""
-    qa, la = free_vars(a)
-    qb, lb = free_vars(b)
-    qvars = sorted(qa | qb)
-    lofvars = sorted(la | lb)
-    tables = _SlotTables(qvars, lofvars)
+    qvars, lofvars = free_vars(a, b)
+    tables = _SlotTables(sorted(qvars), sorted(lofvars))
     return tables.q_slots(a) == tables.q_slots(b)

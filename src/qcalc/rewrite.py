@@ -289,11 +289,8 @@ def replace_at(e: Expr, pos: Sequence[int], new: Expr) -> Expr:
     kids[stored] = replace_at(child, rest, new)
     try:
         return with_children(e, kids)
-    except ValueError:
-        raise BadSubstitution(
-            "rewrite would place a non-LoF expression in a tuple slot:"
-            f" {print_expr(kids[stored])}"
-        ) from None
+    except ValueError as err:
+        raise BadSubstitution(str(err)) from err
 
 
 def _walk(e: Expr, pos: tuple[int, ...] = ()):
@@ -321,7 +318,8 @@ def _instantiate(
 ) -> tuple[Expr, Expr, dict[str, Expr], frozenset[str]]:
     """The rule's (source, destination) sides with subst applied, subst's
     bindings, and the metavariables left to matching: in a search with no
-    subst, every one of the source side's."""
+    subst, every one of the source side's.  A subst must bind exactly the
+    rule's metavariables."""
     if isinstance(rule, str):
         db = rules()
         if rule not in db:
@@ -335,9 +333,11 @@ def _instantiate(
     src_pat, dst_pat = (lhs, rhs) if direction == "ltr" else (rhs, lhs)
 
     bindings = {k: parse(v) if isinstance(v, str) else v for k, v in (subst or {}).items()}
-    src_vars = set().union(*free_vars(src_pat))
-    missing = src_vars.union(*free_vars(dst_pat)) - set(bindings)
-    if missing and (bindings or not search or missing - src_vars):
+    metas = set().union(*free_vars(src_pat, dst_pat))
+    missing, extra = metas - bindings.keys(), bindings.keys() - metas
+    if extra:
+        raise BadSubstitution(f"rule {rule.id} has no metavariables {sorted(extra)}")
+    if missing and (bindings or not search or missing - set().union(*free_vars(src_pat))):
         raise BadSubstitution(
             f"substitution for rule {rule.id} is missing {sorted(missing)}"
         )

@@ -9,6 +9,7 @@ from functools import lru_cache
 from typing import Mapping, Union
 
 from .kernel import (
+    IMAGINARY_SUBS,
     MARK_OPS,
     LoFValue,
     Packed,
@@ -51,9 +52,21 @@ class UnboundVariable(EvalError):
 
 
 class BadBinding(EvalError):
-    def __init__(self, name: str, expected: str, value: EnvValue) -> None:
-        super().__init__(f"variable {name!r} must be bound to {expected}, got {value!r}")
+    def __init__(self, name: str, expected: str, value: object) -> None:
+        super().__init__(
+            f"variable {name!r} must be bound to {expected}, got {value_text(value)}"
+        )
         self.name = name
+
+
+def value_text(value: object) -> str:
+    """A bound value as ``--env`` writes it: its pattern, such as MUUM, or
+    M or U for a slot value; anything else as its repr."""
+    if isinstance(value, bool):
+        return "M" if value else "U"
+    if isinstance(value, Packed):
+        return value.pattern()
+    return repr(value)
 
 
 class BadExponentValue(EvalError):
@@ -163,12 +176,12 @@ def connective(kind: str, a: Expr, b: Expr) -> Expr:
             mark_expr(juxt_expr(mark_expr(a), b)),
             mark_expr(juxt_expr(mark_expr(b), a)),
         )
-    if kind.startswith("or_") and kind[3:] in ("i", "j", "k"):
+    if kind.startswith("or_") and kind[3:] in IMAGINARY_SUBS:
         s = kind[3:]
         return mark_expr(
             juxt_expr(power_expr(s, a, 3), power_expr(s, b, 3)), s
         )
-    if kind.startswith("and_") and kind[4:] in ("i", "j", "k"):
+    if kind.startswith("and_") and kind[4:] in IMAGINARY_SUBS:
         s = kind[4:]
         return power_expr(
             s, juxt_expr(mark_expr(a, s), mark_expr(b, s)), 3
@@ -250,7 +263,7 @@ def solve_bf_embeddings() -> dict[str, dict[str, str]]:
     must then intertwine with the plain mark, else AssertionError.
     """
     out: dict[str, dict[str, str]] = {}
-    for alpha in ("i", "j", "k"):
+    for alpha in IMAGINARY_SUBS:
         phi: dict[BFValue, QValue] = {}
         v, w = BFValue(0), QValue(0)
         for _ in ALL_BFVALUES:
@@ -282,6 +295,6 @@ def _embeddings() -> dict[str, dict[int, QValue]]:
 
 def embed_bf(alpha: str, v: BFValue) -> QValue:
     """The injection of a pair value into the alpha subspace."""
-    if alpha not in ("i", "j", "k"):
+    if alpha not in IMAGINARY_SUBS:
         raise ValueError(f"no {alpha!r} subspace")
     return _embeddings()[alpha][v.bits]

@@ -24,11 +24,10 @@ from __future__ import annotations
 
 from typing import Callable, Mapping, Sequence, Union
 
-from .kernel import Record
+from .kernel import IMAGINARY_SUBS, Record
 
 PLAIN = ""
 MAX_DEPTH = 200  # nested bodies: marks, tuple slots, exponents and groups
-IMAGINARY_SUBS = ("i", "j", "k")
 MARK_SUBS = (PLAIN,) + IMAGINARY_SUBS
 
 
@@ -78,7 +77,9 @@ class Tuple4(Record):
             raise ValueError(f"a tuple has 4 slots, not {len(slots)}")
         bad = next((s for s in slots if not is_lof_expr(s)), None)
         if bad is not None:
-            raise ValueError(f"tuple slot is not a plain-LoF expression: {bad!r}")
+            raise ValueError(
+                f"tuple slot is not a plain-LoF expression: {print_expr(bad)}"
+            )
 
 
 class Power(Record):
@@ -424,12 +425,13 @@ def with_children(e: Expr, kids: Sequence[Expr]) -> Expr:
     return e
 
 
-def free_vars(e: Expr) -> tuple[set[str], set[str]]:
-    """Free variables of e, split into (tuple-level, slot-level) names.
+def free_vars(*terms: Expr) -> tuple[set[str], set[str]]:
+    """Free variables of the terms of one check, such as the two sides of
+    an equation, split into (tuple-level, slot-level) names.
 
-    A name used both inside and outside tuple literals is rejected: slot
-    variables range over the two LoF states, tuple-level variables over
-    the sixteen values.
+    A name used both inside and outside tuple literals, in one term or
+    across them, is rejected: slot variables range over the two LoF
+    states, tuple-level variables over the sixteen values.
     """
     qvars: set[str] = set()
     lofvars: set[str] = set()
@@ -444,7 +446,8 @@ def free_vars(e: Expr) -> tuple[set[str], set[str]]:
             for c in children(x):
                 walk(c, in_slot)
 
-    walk(e, False)
+    for e in terms:
+        walk(e, False)
     both = qvars & lofvars
     if both:
         raise ValueError(

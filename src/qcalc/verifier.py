@@ -31,6 +31,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .kernel import (
     ALL_QVALUES,
+    IMAGINARY_SUBS,
     MARK_OPS,
     Q8Op,
     QValue,
@@ -51,6 +52,7 @@ from .semantics import (
     connective,
     embed_bf,
     evaluate,
+    value_text,
 )
 from .textio import (
     ExpApply,
@@ -103,7 +105,7 @@ class EquivResult(Record):
 
 def _var_spec(exprs: Iterable[Expr]) -> tuple[tuple[str, int], ...]:
     """(name, number of values) of every free variable, sorted by name."""
-    qvars, lofvars = free_vars(Juxt(tuple(exprs)))
+    qvars, lofvars = free_vars(*exprs)
     return tuple(
         (name, 16 if name in qvars else 2) for name in sorted(qvars | lofvars)
     )
@@ -338,10 +340,7 @@ def check_equiv(
 def env_patterns(env: Mapping[str, QValue | bool] | None) -> dict[str, str] | None:
     if env is None:
         return None
-    return {
-        name: (val.pattern() if isinstance(val, QValue) else ("M" if val else "U"))
-        for name, val in env.items()
-    }
+    return {name: value_text(val) for name, val in env.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +410,7 @@ APPENDIX_A_LAWS: tuple[tuple[str, str, str], ...] = (
     ("A10-Crosstransposition", "[[[A] B] [[A] [B]]]", "[A B] [A [B]]"),
 )
 
-ALPHAS = ("i", "j", "k")
+ALPHAS = IMAGINARY_SUBS
 
 
 # Q1-Q10 as (id, lhs, rhs, params): the texts are templates in which {a}

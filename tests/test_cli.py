@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -320,6 +321,38 @@ def test_library_error_is_one_line_without_traceback(budget, assertion, message)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == message
+
+
+@pytest.mark.parametrize(
+    "argv, derivation",
+    [
+        (["eval", "{A,,,}", "--env", "A=MUUM"], None),
+        (["eval", "A", "--env", "A=M"], None),
+        (["check-derivation"], {
+            "start": "{x, , , }", "end": "{x, , , }",
+            "steps": [{"rule": "D1-ITuple",
+                       "subst": {"s1": "[x]i", "s2": "", "s3": "", "s4": ""}}],
+        }),
+        (["check-derivation"], {
+            "start": "{[], , , }", "end": "{[], , , }",
+            "steps": [{"rule": "E-EmptyPlain", "pos": [0]}],
+        }),
+        (["check-derivation"], {
+            "start": "[[x]]", "end": "x",
+            "steps": [{"rule": "A3-Reflexion", "subst": {"A": "x", "B": "y"}}],
+        }),
+    ],
+    ids=["eval-slot", "eval-tuple", "slot-subst", "slot-replace", "extra-subst"],
+)
+def test_no_error_line_carries_a_record_repr(capsys, tmp_path, argv, derivation):
+    if derivation is not None:
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(derivation))
+        argv = argv + [str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code in (1, 2)
+    assert "error" in err or "FAIL" in out
+    assert not re.search(r"\b[A-Z]\w*\((\w+=|')", out + err), out + err
 
 
 class TestVerdictJson:

@@ -125,8 +125,7 @@ class TestSignedPerm:
 
     @pytest.mark.parametrize("source", ["q8", "braid"])
     def test_cayley_table_matches_then(self, source):
-        # The table composes (target, marked) keys directly; SignedPerm.then
-        # is the reference.
+        # Each entry indexes the product SignedPerm.then gives.
         from qcalc.braid import quaternion_closure
 
         if source == "q8":

@@ -186,6 +186,22 @@ def test_no_module_keeps_a_dead_import(path):
     assert _unused_imports(path) == []
 
 
+def _spells_the_subscripts(path: Path) -> bool:
+    """Whether the module writes the tuple ("i", "j", "k") literally."""
+    return any(
+        isinstance(node, ast.Tuple)
+        and [getattr(elt, "value", None) for elt in node.elts] == ["i", "j", "k"]
+        for node in ast.walk(ast.parse(path.read_text()))
+    )
+
+
+def test_only_kernel_spells_the_imaginary_subscripts():
+    spelled = [
+        p.stem for p in sorted((SRC / "qcalc").glob("*.py")) if _spells_the_subscripts(p)
+    ]
+    assert spelled == ["kernel"]
+
+
 def test_dead_import_scan_sees_an_unused_name(tmp_path):
     path = tmp_path / "m.py"
     path.write_text(

@@ -116,6 +116,27 @@ class TestApplyRule:
         with pytest.raises(BadSubstitution):
             apply_rule(parse("[[x]]"), "A3-Reflexion", "ltr", (), {})
 
+    def test_substitution_names_only_metavariables(self):
+        with pytest.raises(BadSubstitution, match=r"has no metavariables \['B', 'C'\]"):
+            apply_rule(
+                parse("[[x]]"), "A3-Reflexion", "ltr", (), {"A": "x", "B": "y", "C": ""}
+            )
+        report = check_derivation(Derivation(
+            "extra", parse("[[x]]"),
+            (Step("A3-Reflexion", "ltr", (), {"A": parse("x"), "B": parse("y")}),),
+            parse("x"),
+        ))
+        assert not report.ok
+        assert report.steps[0].error == "rule A3-Reflexion has no metavariables ['B']"
+
+    def test_slot_refusal_names_the_slot(self):
+        # The tuple's own message, with the slot by its text.
+        with pytest.raises(BadSubstitution) as exc:
+            replace_at(parse("{[], , , }"), (0,), parse("{[], [], [], []}"))
+        assert str(exc.value) == (
+            "tuple slot is not a plain-LoF expression: {[], [], [], []}"
+        )
+
     def test_tuple_purity_preserved(self):
         # Rewriting a slot into a subscripted-mark form is rejected.
         with pytest.raises(BadSubstitution):

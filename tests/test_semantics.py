@@ -117,6 +117,16 @@ class TestEvaluate:
         with pytest.raises(BadBinding):
             evaluate(parse("X"), {"X": True})
 
+    @pytest.mark.parametrize(
+        "text, value, shown",
+        [("{x, , , }", QValue(9), "MUUM"), ("X", True, "M"), ("X", False, "U"),
+         ("X", 3, "3")],
+    )
+    def test_bad_binding_shows_the_value_as_env_writes_it(self, text, value, shown):
+        with pytest.raises(BadBinding) as exc:
+            evaluate(parse(text), {text.strip("{, }"): value})
+        assert str(exc.value).endswith(f", got {shown}")
+
     @given(q_exprs, full_envs)
     @settings(max_examples=200)
     def test_juxt_fold_matches_pairwise(self, e, env):

@@ -203,6 +203,12 @@ class TestHelpers:
         with pytest.raises(ValueError):
             free_vars(parse("A {A, , , }"))
 
+    def test_free_vars_of_a_check_spans_its_terms(self):
+        q, l = free_vars(parse("[A]i"), parse("{x, , , } B"))
+        assert q == {"A", "B"} and l == {"x"}
+        with pytest.raises(ValueError, match=r"\['x'\]"):
+            free_vars(parse("[x]"), parse("{x, , , }"))
+
     def test_substitute(self):
         e = substitute(parse("[X]i X"), {"X": parse("a b")})
         assert print_expr(e) == "[a b]i a b"
@@ -212,6 +218,11 @@ class TestHelpers:
             Tuple4((Var("a"),))
         with pytest.raises(ValueError, match="plain-LoF"):
             Tuple4((Var("a"), Mark("i", Void()), Void(), Void()))
+
+    def test_tuple_error_names_the_slot_by_its_text(self):
+        with pytest.raises(ValueError) as exc:
+            Tuple4((Void(), Mark("i", Var("x")), Void(), Void()))
+        assert str(exc.value) == "tuple slot is not a plain-LoF expression: [x]i"
 
     def test_substitute_into_tuple_stays_lof(self):
         with pytest.raises(ValueError):

@@ -471,6 +471,17 @@ class TestOracleAgreement:
         assert oracle.equivalent(parse("[[{a, b, c, d}]i]j"), parse("[{a, b, c, d}]k"))
         assert not oracle.equivalent(parse("[[A]i]j"), parse("[[A]j]i"))
 
+    def test_oracle_refuses_a_mixed_check_as_check_equiv_does(self):
+        # A is tuple-level on one side and slot-level on the other.
+        a, b = parse("[A]"), parse("{A, , , }")
+        with pytest.raises(ValueError) as decider:
+            check_equiv(a, b)
+        with pytest.raises(ValueError) as witness:
+            oracle.equivalent(a, b)
+        assert str(witness.value) == str(decider.value) == (
+            "variables used both inside and outside tuple slots: ['A']"
+        )
+
 
 class TestReports:
     def test_assertions_and_json_stability(self, tmp_path):
