@@ -187,7 +187,7 @@ def verify_braid_relations(n: int) -> BraidRelationReport:
     if n < 2:
         raise ValueError("need at least 2 strands")
     if n > MAX_STRANDS:
-        raise ValueError(f"arity {n} above the configured bound {MAX_STRANDS}")
+        raise ValueError(f"arity {n} above the cap of {MAX_STRANDS} strands")
 
     def perm(text: str) -> SignedPerm:
         return braid_to_signed_perm(parse_braid_word(text, n))

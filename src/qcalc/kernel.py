@@ -19,16 +19,6 @@ MARKED: LoFValue = True
 UNMARKED: LoFValue = False
 
 
-def lof_mark(v: LoFValue) -> LoFValue:
-    """Crossing: the mark toggles the state; mark(mark(v)) == v."""
-    return not v
-
-
-def lof_juxt(v: LoFValue, w: LoFValue) -> LoFValue:
-    """Calling/Integration: juxtaposition is marked if either side is."""
-    return v or w
-
-
 def _same_class_order(compare: Callable[[tuple, tuple], bool]) -> Callable:
     """A tuple comparison that refuses any operand of another class."""
 

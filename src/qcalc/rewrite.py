@@ -35,7 +35,7 @@ from itertools import product as iproduct
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .constructor import op_form
-from .kernel import MARK_OPS, Record, q8_mul, q8_power
+from .kernel import IMAGINARY_SUBS, MARK_OPS, Record, q8_mul, q8_power
 from .textio import (
     VOID,
     Expr,
@@ -55,7 +55,6 @@ from .textio import (
     with_children,
 )
 from .verifier import (
-    ALPHAS,
     APPENDIX_A_LAWS,
     APPENDIX_B_LAWS,
     COMPILE_LAWS,
@@ -83,6 +82,13 @@ class NoMatch(RewriteError):
     pass
 
 
+# The values each rule parameter ranges over, and how an error names them.
+_PARAM_DOMAINS: dict[str, tuple[tuple[object, ...], str]] = {
+    **dict.fromkeys(("alpha", "beta"), (IMAGINARY_SUBS, "one of i, j, k")),
+    **dict.fromkeys(("m", "n"), ((1, 2, 3), "an integer in 1..3")),
+}
+
+
 class Rule(Record):
     """An oriented rewrite law with optional mark/exponent parameters.
 
@@ -102,17 +108,12 @@ class Rule(Record):
                     f"rule {self.id} needs parameter {name!r}"
                 )
             value = params[name]
-            if name in ("alpha", "beta"):
-                if value not in ALPHAS:
-                    raise SideConditionViolation(
-                        f"parameter {name}={value!r} must be one of i, j, k"
-                    )
-            elif name in ("m", "n"):
-                # bool is an int to isinstance, but true is no exponent.
-                if type(value) is not int or not 1 <= value <= 3:
-                    raise SideConditionViolation(
-                        f"parameter {name}={value!r} must be an integer in 1..3"
-                    )
+            values, noun = _PARAM_DOMAINS[name]
+            # The type is exact: true is an int to isinstance, but no exponent.
+            if type(value) is not type(values[0]) or value not in values:
+                raise SideConditionViolation(
+                    f"parameter {name}={value!r} must be {noun}"
+                )
             out[name] = value
         if self.id == "Q5-AntiCommutes" and out["alpha"] == out["beta"]:
             raise SideConditionViolation("anti-commutation needs alpha != beta")
@@ -124,13 +125,8 @@ class Rule(Record):
         return out
 
     def param_space(self) -> list[dict[str, object]]:
-        if not self.params:
-            return [{}]
-        axes = []
-        for name in self.params:
-            axes.append(ALPHAS if name in ("alpha", "beta") else (1, 2, 3))
         combos = []
-        for values in iproduct(*axes):
+        for values in iproduct(*(_PARAM_DOMAINS[name][0] for name in self.params)):
             combo = dict(zip(self.params, values))
             try:
                 self.validate_params(combo)
@@ -310,7 +306,7 @@ def all_positions(e: Expr) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 def _instantiate(
-    rule: Rule | str,
+    rule: str,
     direction: str,
     subst: Mapping[str, Expr | str] | None,
     params: Mapping[str, object] | None,
@@ -320,26 +316,22 @@ def _instantiate(
     bindings, and the metavariables left to matching: in a search with no
     subst, every one of the source side's.  A subst must bind exactly the
     rule's metavariables."""
-    if isinstance(rule, str):
-        db = rules()
-        if rule not in db:
-            raise RewriteError(f"unknown rule {rule!r}")
-        rule = db[rule]
-    else:
-        validate_rules()
+    db = rules()
+    if rule not in db:
+        raise RewriteError(f"unknown rule {rule!r}")
     if direction not in ("ltr", "rtl"):
         raise RewriteError(f"direction must be ltr or rtl, not {direction!r}")
-    lhs, rhs = rule.sides(params or {})
+    lhs, rhs = db[rule].sides(params or {})
     src_pat, dst_pat = (lhs, rhs) if direction == "ltr" else (rhs, lhs)
 
     bindings = {k: parse(v) if isinstance(v, str) else v for k, v in (subst or {}).items()}
     metas = set().union(*free_vars(src_pat, dst_pat))
     missing, extra = metas - bindings.keys(), bindings.keys() - metas
     if extra:
-        raise BadSubstitution(f"rule {rule.id} has no metavariables {sorted(extra)}")
+        raise BadSubstitution(f"rule {rule} has no metavariables {sorted(extra)}")
     if missing and (bindings or not search or missing - set().union(*free_vars(src_pat))):
         raise BadSubstitution(
-            f"substitution for rule {rule.id} is missing {sorted(missing)}"
+            f"substitution for rule {rule} is missing {sorted(missing)}"
         )
     try:
         src, dst = substitute(src_pat, bindings), substitute(dst_pat, bindings)
@@ -350,7 +342,7 @@ def _instantiate(
 
 def apply_rule(
     e: Expr,
-    rule: Rule | str,
+    rule: str,
     direction: str = "ltr",
     pos: Sequence[int] = (),
     subst: Mapping[str, Expr | str] | None = None,
@@ -454,7 +446,7 @@ def _label(e: Expr) -> object:
 
 def _applications(
     e: Expr,
-    rule: Rule | str,
+    rule: str,
     direction: str,
     subst: Mapping[str, Expr | str] | None,
     params: Mapping[str, object] | None,
@@ -479,7 +471,7 @@ def _applications(
 
 def find_applications(
     e: Expr,
-    rule: Rule | str,
+    rule: str,
     direction: str = "ltr",
     subst: Mapping[str, Expr | str] | None = None,
     params: Mapping[str, object] | None = None,

@@ -15,8 +15,6 @@ from .kernel import (
     Packed,
     QValue,
     Record,
-    lof_juxt,
-    lof_mark,
     op_of_value,
     q8_apply,
     q8_power,
@@ -106,11 +104,12 @@ def _lof_eval(e: Expr, env: Env) -> LoFValue:
             raise BadBinding(e.name, "an LoF value (slot variable)", val)
         return val
     if isinstance(e, Mark):
-        return lof_mark(_lof_eval(e.body, env))
+        return not _lof_eval(e.body, env)
     if isinstance(e, Juxt):
+        # |=, not or: every part is evaluated, so an unbound one still raises.
         out = False
         for p in e.parts:
-            out = lof_juxt(out, _lof_eval(p, env))
+            out |= _lof_eval(p, env)
         return out
     raise EvalError(f"not a plain-LoF expression: {print_expr(e)}")
 
@@ -253,7 +252,8 @@ def bf_evaluate(e: Expr, env: BFEnv | None = None) -> BFValue:
 # Embedding the four pair values into the i/j/k subspaces
 # ---------------------------------------------------------------------------
 
-def solve_bf_embeddings() -> dict[str, dict[str, str]]:
+@lru_cache(maxsize=1)
+def _embeddings() -> dict[str, dict[BFValue, QValue]]:
     """The injection of the 4 pair values into each subspace.
 
     The unmarked pair maps to the all-unmarked tuple and the pair i-mark
@@ -262,7 +262,7 @@ def solve_bf_embeddings() -> dict[str, dict[str, str]]:
     constraints fix the table; walking the orbit builds it.  The plain mark
     must then intertwine with the plain mark, else AssertionError.
     """
-    out: dict[str, dict[str, str]] = {}
+    out: dict[str, dict[BFValue, QValue]] = {}
     for alpha in IMAGINARY_SUBS:
         phi: dict[BFValue, QValue] = {}
         v, w = BFValue(0), QValue(0)
@@ -278,18 +278,15 @@ def solve_bf_embeddings() -> dict[str, dict[str, str]]:
         )
         if not ok:
             raise AssertionError(f"no embedding of the pair values into {alpha}")
-        out[alpha] = {u.pattern(): phi[u].pattern() for u in ALL_BFVALUES}
+        out[alpha] = phi
     return out
 
 
-@lru_cache(maxsize=1)
-def _embeddings() -> dict[str, dict[int, QValue]]:
+def solve_bf_embeddings() -> dict[str, dict[str, str]]:
+    """Each subspace's embedding as patterns, pair value to tuple value."""
     return {
-        alpha: {
-            BFValue.from_pattern(src).bits: QValue.from_pattern(dst)
-            for src, dst in table.items()
-        }
-        for alpha, table in solve_bf_embeddings().items()
+        alpha: {u.pattern(): phi[u].pattern() for u in ALL_BFVALUES}
+        for alpha, phi in _embeddings().items()
     }
 
 
@@ -297,4 +294,4 @@ def embed_bf(alpha: str, v: BFValue) -> QValue:
     """The injection of a pair value into the alpha subspace."""
     if alpha not in IMAGINARY_SUBS:
         raise ValueError(f"no {alpha!r} subspace")
-    return _embeddings()[alpha][v.bits]
+    return _embeddings()[alpha][v]

@@ -297,11 +297,7 @@ class _Planes:
         raise TypeError(f"not an expression: {e!r}")
 
 
-def check_equiv(
-    a: Expr | str,
-    b: Expr | str,
-    budget: int | None = None,
-) -> EquivResult:
+def check_equiv(a: Expr | str, b: Expr | str) -> EquivResult:
     """Decide equivalence over every assignment to the shared free
     variables; on failure return the first counterexample in enumeration
     order (names sorted, values ascending).
@@ -317,7 +313,7 @@ def check_equiv(
     count = 1
     for _, dom in spec:
         count *= dom
-    limit = budget if budget is not None else assignment_budget()
+    limit = assignment_budget()
     if count > limit:
         raise BudgetExceeded(len(spec), count, limit)
 

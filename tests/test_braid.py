@@ -132,7 +132,7 @@ class TestRelations:
             verify_braid_relations(1)
 
     def test_arity_bound_is_configurable(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^arity 9 above the cap of 8 strands$"):
             verify_braid_relations(9)
 
 

@@ -357,16 +357,24 @@ def test_find_applications_without_subst_lists_every_match():
         (("Q99",), RewriteError, "unknown rule 'Q99'"),
         (("Q1-SQR", "both"), RewriteError, "direction must be ltr or rtl"),
         (("Q1-SQR", "ltr", None, {"alpha": "x"}), SideConditionViolation, "one of i, j, k"),
+        (("Q1-SQR", "ltr", None, {"alpha": 1}), SideConditionViolation, "one of i, j, k"),
         (
             ("QCOMP", "ltr", None, {"alpha": "i", "m": 4, "beta": "j", "n": 1}),
             SideConditionViolation, r"m=4 must be an integer in 1\.\.3",
+        ),
+        (
+            ("QCOMP", "ltr", None, {"alpha": "i", "m": "1", "beta": "j", "n": 1}),
+            SideConditionViolation, r"m='1' must be an integer in 1\.\.3",
         ),
         # The destination's A is not on the source side, so matching cannot bind it.
         (("A5-Integration", "rtl"), BadSubstitution, r"missing \['A'\]"),
         # A substitution is given whole or not at all.
         (("A2-Transposition", "ltr", {"A": "x"}), BadSubstitution, r"missing \['B', 'C'\]"),
     ],
-    ids=["rule", "direction", "subscript", "exponent", "destination-only", "partial"],
+    ids=[
+        "rule", "direction", "subscript", "subscript-type", "exponent",
+        "exponent-type", "destination-only", "partial",
+    ],
 )
 def test_find_applications_raises_real_errors(args, error, message):
     with pytest.raises(error, match=message):

@@ -105,6 +105,9 @@ class TestEvaluate:
     def test_unbound_variable(self):
         with pytest.raises(UnboundVariable):
             evaluate(parse("X"), {})
+        # The slot is marked by [] already, but x is still evaluated.
+        with pytest.raises(UnboundVariable):
+            evaluate(parse("{[] x, , , }"), {})
 
     def test_bad_exponent_reports_value(self):
         with pytest.raises(BadExponentValue) as exc:

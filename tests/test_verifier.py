@@ -112,10 +112,6 @@ class TestCheckEquiv:
         assert exc.value.num_variables == 7
         assert exc.value.required == 16 ** 7
 
-    def test_explicit_budget(self):
-        with pytest.raises(BudgetExceeded):
-            check_equiv("A B", "", budget=16)
-
     def test_env_var_budget(self, monkeypatch):
         monkeypatch.setenv("QCALC_BUDGET", "16")
         with pytest.raises(BudgetExceeded):
@@ -159,30 +155,34 @@ class TestCheckEquiv:
                 assert not at(planes.bad, row)
                 assert bits == want.bits
 
-    @pytest.mark.parametrize("budget_bits", [18, 3])
+    @pytest.mark.parametrize("budget_bits", [18, 4])
     @given(exp_exprs, exp_exprs, st.sampled_from(Q_VARS), st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_check_equiv_matches_scalar_loop(self, budget_bits, a, c, name, related):
-        # A budget of 2^18 rows decides every pair drawn here; one of 8 rows
-        # refuses the larger ones before any row is evaluated, a bad
-        # exponent included, and decides the rest.
+        # A budget of 2^18 rows decides every pair drawn here; one of 16
+        # rows, the least QCALC_BUDGET allows, refuses the larger ones
+        # before any row is evaluated, a bad exponent included, and decides
+        # the rest.  Hypothesis refuses function-scoped fixtures, so the
+        # variable is set in a MonkeyPatch context.
         b = substitute(a, {name: c}) if related else c
         spec = _var_spec((a, b))
         budget = 1 << budget_bits
         if _count(spec) > 4096:
             return
-        if _count(spec) > budget:
-            with pytest.raises(BudgetExceeded):
-                check_equiv(a, b, budget=budget)
-            return
-        try:
-            first = _scalar_first_difference(spec, a, b)
-        except BadExponentValue as err:
-            with pytest.raises(BadExponentValue) as got:
-                check_equiv(a, b, budget=budget)
-            assert got.value.value == err.value
-            return
-        res = check_equiv(a, b, budget=budget)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("QCALC_BUDGET", str(budget))
+            if _count(spec) > budget:
+                with pytest.raises(BudgetExceeded):
+                    check_equiv(a, b)
+                return
+            try:
+                first = _scalar_first_difference(spec, a, b)
+            except BadExponentValue as err:
+                with pytest.raises(BadExponentValue) as got:
+                    check_equiv(a, b)
+                assert got.value.value == err.value
+                return
+            res = check_equiv(a, b)
         if first is None:
             assert (res.equivalent, res.counterexample) == (True, None)
             assert res.assignments_checked == _count(spec)
@@ -226,18 +226,20 @@ class TestCheckEquiv:
     Q10 = ("{C} [[{A}]j^3 [{B}]j^3]j", "[[{C} {A}]j^3 [{C} {B}]j^3]j")
 
     @pytest.mark.parametrize("law", [Q9, Q10], ids=["Q9", "Q10"])
-    def test_twelve_variable_laws_hold(self, law):
+    def test_twelve_variable_laws_hold(self, monkeypatch, law):
+        monkeypatch.setenv("QCALC_BUDGET", str(16 ** 12))
         lhs, rhs = (side.format(**self.WIDE) for side in law)
-        res = check_equiv(lhs, rhs, budget=16 ** 12)
+        res = check_equiv(lhs, rhs)
         assert res.equivalent
         assert res.assignments_checked == 16 ** 12
 
-    def test_twelve_variable_late_mutant(self):
+    def test_twelve_variable_late_mutant(self, monkeypatch):
         # A1 juxtaposed into [B C]i^3 changes nothing while A1 is UUUU, and
         # A1 owns the top four bits of the row index.
+        monkeypatch.setenv("QCALC_BUDGET", str(16 ** 12))
         lhs, rhs = (side.format(**self.WIDE) for side in self.Q9)
         rhs = rhs.replace("C4]i^3]", "C4 A1]i^3]")
-        res = check_equiv(lhs, rhs, budget=16 ** 12)
+        res = check_equiv(lhs, rhs)
         assert not res.equivalent
         assert res.assignments_checked == 16 ** 11 + 1
         names = sorted(f"{v}{k}" for v in "ABC" for k in range(1, 5))
@@ -245,9 +247,10 @@ class TestCheckEquiv:
         env = res.counterexample
         assert evaluate(parse(lhs), env) != evaluate(parse(rhs), env)
 
-    def test_twelve_variable_early_mutant(self):
+    def test_twelve_variable_early_mutant(self, monkeypatch):
+        monkeypatch.setenv("QCALC_BUDGET", str(16 ** 12))
         lhs, rhs = (side.format(**self.WIDE) for side in self.Q9)
-        res = check_equiv(lhs.replace("]i ", "]j "), rhs, budget=16 ** 12)
+        res = check_equiv(lhs.replace("]i ", "]j "), rhs)
         assert not res.equivalent
         assert res.assignments_checked == 1
         assert set(res.counterexample.values()) == {QValue(0)}
