@@ -223,10 +223,6 @@ class Q8Op(enum.Enum):
     def symbol(self) -> str:
         return ("-" if self.negated else "") + self.axis
 
-    @classmethod
-    def from_parts(cls, negated: bool, axis: str) -> Q8Op:
-        return _Q8_BY_PARTS[(negated, axis)]
-
 
 _Q8_BY_PARTS = {(op.negated, op.axis): op for op in Q8Op}
 
@@ -260,14 +256,12 @@ def q8_mul(g: Q8Op, h: Q8Op) -> Q8Op:
     expression, so q8_mul(I, J) == K while q8_mul(J, I) == MK.
     """
     neg, axis = _AXIS_MUL[(g.axis, h.axis)]
-    return Q8Op.from_parts(neg ^ g.negated ^ h.negated, axis)
+    return _Q8_BY_PARTS[(neg ^ g.negated ^ h.negated, axis)]
 
 
 def q8_inverse(g: Q8Op) -> Q8Op:
-    for h in Q8Op:
-        if q8_mul(g, h) is Q8Op.P1:
-            return h
-    raise AssertionError("unreachable: Q8 has inverses")
+    """Every element's order divides 4, so its cube is its inverse."""
+    return q8_power(g, 3)
 
 
 def q8_power(g: Q8Op, n: int) -> Q8Op:
@@ -421,32 +415,21 @@ def cayley_table(elements: Sequence[SignedPerm]) -> list[list[int]]:
 def is_isomorphic_to_q8(elements: Sequence[SignedPerm]) -> bool:
     """Check a closed 8-element set of signed permutations against Q8.
 
-    Works by locating the identity and the unique element of order 2, then
-    trying all assignments of generators; Q8 is small enough to brute-force.
+    Q8 is the only group of order 8 whose element orders are one 1, one 2
+    and six 4s: Z8 has elements of order 8, and Z4xZ2, D4 and Z2^3 each
+    have more than one element of order 2.  So the orders decide.
     """
     if len(elements) != 8:
         return False
     table = cayley_table(elements)
-    idx = range(8)
-
-    def mul(i: int, j: int) -> int:
-        return table[i][j]
-
-    ident = next((i for i in idx if all(mul(i, j) == j == mul(j, i) for j in idx)), None)
-    if ident is None:
-        return False
+    # In a group, g*g == g holds only for the identity.
+    ident = next(i for i in range(8) if table[i][i] == i)
 
     def order(i: int) -> int:
         n, cur = 1, i
         while cur != ident:
-            cur = mul(cur, i)
+            cur = table[cur][i]
             n += 1
         return n
 
-    orders = sorted(order(i) for i in idx)
-    if orders != [1, 2, 4, 4, 4, 4, 4, 4]:
-        return False
-    # Q8 is the only group of order 8 with a single involution.
-    minus_one = next(i for i in idx if order(i) == 2)
-    return all(mul(i, minus_one) == mul(minus_one, i) for i in idx)
-
+    return sorted(map(order, range(8))) == [1, 2, 4, 4, 4, 4, 4, 4]

@@ -651,17 +651,16 @@ def check_derivation(d: Derivation) -> DerivationReport:
     for index, step in enumerate(d.steps):
         produced: Expr | None = None
         error = None
-        applied = False
         if current is not None:
             try:
                 produced = apply_rule(
                     current, step.rule, step.direction, step.pos, step.subst, step.params
                 )
-                applied = True
             except RewriteError as err:
                 error = str(err)
         else:
             error = "no term to apply to (earlier step failed)"
+        applied = produced is not None
 
         matches = None
         if applied and step.result is not None:
@@ -675,7 +674,6 @@ def check_derivation(d: Derivation) -> DerivationReport:
             try:
                 semantic = check_equiv(current, next_term).equivalent
             except Exception as err:  # report, never throw
-                semantic = None
                 error = f"{error + '; ' if error else ''}semantic check failed: {err}"
 
         reports.append(

@@ -311,7 +311,7 @@ def parse_qlf(text: str) -> list[QlfLine]:
     """Parse a .qlf file body: expressions or assertions, # comments."""
     out: list[QlfLine] = []
     offset = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0]
         if line.strip():
             if "==" in line:

@@ -406,8 +406,6 @@ APPENDIX_A_LAWS: tuple[tuple[str, str, str], ...] = (
     ("A10-Crosstransposition", "[[[A] B] [[A] [B]]]", "[A B] [A [B]]"),
 )
 
-ALPHAS = IMAGINARY_SUBS
-
 
 # Q1-Q10 as (id, lhs, rhs, params): the texts are templates in which {a}
 # and {b} stand for the subscripts alpha and beta.  The rewrite rule base
@@ -448,7 +446,7 @@ def appendix_b_laws() -> list[tuple[str, str, str]]:
     """
     laws: list[tuple[str, str, str]] = []
     for law_id, lhs, rhs, params in APPENDIX_B_LAWS:
-        for subs in permutations(ALPHAS, len(params)):
+        for subs in permutations(IMAGINARY_SUBS, len(params)):
             fill = dict(zip("ab", subs))
             name = f"{law_id}[{','.join(subs)}]" if subs else law_id
             laws.append((name, lhs.format(**fill), rhs.format(**fill)))
@@ -500,7 +498,7 @@ def _bf_subspace_checks() -> list[LawCheck]:
             "plain mark twice is the identity",
         ),
     ]
-    for a in ALPHAS:
+    for a in IMAGINARY_SUBS:
         checks += [
             _equiv_check(
                 f"SplitGeneration[{a}]", f"[[A]{a} B]{a} C", f"[[A C]{a} B]{a} C"
@@ -590,16 +588,31 @@ class DistributionReport(Record):
         return "\n".join(lines)
 
 
-def distribution_matrix() -> DistributionReport:
-    """Check (A op2 B) op1 C == (A op1 C) op2 (B op1 C) for every ordered
-    pair of the eight connectives, over all 4096 assignments each."""
+def distribution_law(op1: str, op2: str) -> tuple[Expr, Expr]:
+    """(A op2 B) op1 C and (A op1 C) op2 (B op1 C): op1 over op2 from the right."""
     A, B, C = Var("A"), Var("B"), Var("C")
+    return (
+        connective(op1, connective(op2, A, B), C),
+        connective(op2, connective(op1, A, C), connective(op1, B, C)),
+    )
+
+
+def left_distribution_law(op1: str, op2: str) -> tuple[Expr, Expr]:
+    """A op1 (B op2 C) and (A op1 B) op2 (A op1 C): op1 over op2 from the left."""
+    A, B, C = Var("A"), Var("B"), Var("C")
+    return (
+        connective(op1, A, connective(op2, B, C)),
+        connective(op2, connective(op1, A, B), connective(op1, A, C)),
+    )
+
+
+def distribution_matrix() -> DistributionReport:
+    """Check every ordered pair of the eight connectives against its
+    distribution_law, over all 4096 assignments each."""
     cells = []
     for op1 in CONNECTIVES:
         for op2 in CONNECTIVES:
-            lhs = connective(op1, connective(op2, A, B), C)
-            rhs = connective(op2, connective(op1, A, C), connective(op1, B, C))
-            res = check_equiv(lhs, rhs)
+            res = check_equiv(*distribution_law(op1, op2))
             cells.append(
                 DistCell(
                     op1,
@@ -659,16 +672,10 @@ def distribution_demos() -> DemoReport:
     """Check the two demonstrated laws; the second has two candidate
     right-hand sides (a transcription discrepancy) and exactly one of them
     is expected to survive the oracle."""
+    demo1 = check_equiv(*left_distribution_law("or_i", "and_j"))
+    lhs2, rhs2 = distribution_law("and_j", "and_k")
+    template = check_equiv(lhs2, rhs2)
     A, B, C = Var("A"), Var("B"), Var("C")
-    demo1 = check_equiv(
-        connective("or_i", A, connective("and_j", B, C)),
-        connective("and_j", connective("or_i", A, B), connective("or_i", A, C)),
-    )
-    lhs2 = connective("and_j", connective("and_k", A, B), C)
-    template = check_equiv(
-        lhs2,
-        connective("and_k", connective("and_j", A, C), connective("and_j", B, C)),
-    )
     printed = check_equiv(
         lhs2,
         connective("and_k", connective("and_j", A, B), connective("and_j", B, C)),

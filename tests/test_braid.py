@@ -131,7 +131,7 @@ class TestRelations:
         with pytest.raises(ValueError):
             verify_braid_relations(1)
 
-    def test_arity_bound_is_configurable(self):
+    def test_arity_above_max_strands_is_refused(self):
         with pytest.raises(ValueError, match="^arity 9 above the cap of 8 strands$"):
             verify_braid_relations(9)
 

@@ -118,6 +118,22 @@ class TestSignedPerm:
         assert len(closure) == 8
         assert is_isomorphic_to_q8(closure)
 
+    @pytest.mark.parametrize(
+        "generators",
+        [
+            [((2, 1), (False, False)), ((1, 2), (True, False))],
+            [((2, 3, 4, 1), (True, False, False, False))],
+            [((1, 2, 3), marked) for marked in
+             ((True, False, False), (False, True, False), (False, False, True))],
+            [((2, 1, 3), (True, False, False)), ((1, 2, 3), (False, False, True))],
+        ],
+        ids=["D4", "Z8", "Z2^3", "Z4xZ2"],
+    )
+    def test_other_groups_of_order_8_are_not_q8(self, generators):
+        closure = generate_closure(SignedPerm(*g) for g in generators)
+        assert len(closure) == 8
+        assert not is_isomorphic_to_q8(closure)
+
     def test_cayley_table_shape(self):
         elems = generate_closure([q8_to_signed_perm(Q8Op.I), q8_to_signed_perm(Q8Op.J)])
         table = cayley_table(elems)

@@ -179,7 +179,9 @@ def _unused_imports(path: Path) -> list[str]:
 
 @pytest.mark.parametrize(
     "path",
-    sorted(p for p in (SRC / "qcalc").glob("*.py") if p.stem != "__init__"),
+    sorted(p for p in (SRC / "qcalc").glob("*.py") if p.stem != "__init__")
+    + sorted((SRC.parent / "scripts").glob("*.py"))
+    + sorted((SRC.parent / "tests").glob("*.py")),
     ids=lambda p: p.stem,
 )
 def test_no_module_keeps_a_dead_import(path):

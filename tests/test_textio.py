@@ -239,3 +239,7 @@ class TestHelpers:
         assert [l.lineno for l in lines] == [2, 4, 5]
         assert lines[1].rhs == Void()
         assert lines[2].rhs == Mark("j", Var("x"))
+        # Only "\n" ends a line; other breaks are whitespace inside one.
+        assert [l.lineno for l in parse_qlf("A == A\f\n[A] == A\n")] == [1, 2]
+        with pytest.raises(ParseError, match=r"\(at 8\.\.10\)"):
+            parse_qlf("A == A\r\n[ == A\n")

@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 
 from conftest import Q_VARS, exp_exprs, full_envs, q_exprs, random_expr_pair
 from qcalc import oracle, verifier
-from qcalc.kernel import Q8Op, QValue, op_value
+from qcalc.kernel import IMAGINARY_SUBS, Q8Op, QValue, op_value
 from qcalc.semantics import BadExponentValue, evaluate
 from qcalc.textio import parse, print_expr, substitute
 from qcalc.verifier import (
     _Planes,
     _var_spec,
-    ALPHAS,
     BudgetExceeded,
     DemoReport,
     appendix_b_laws,
@@ -391,7 +390,7 @@ class TestLawSuites:
         for name, lhs, rhs in appendix_b_laws():
             res = check_equiv(parse(lhs), parse(rhs))
             assert res.equivalent, name
-        for a in ALPHAS:
+        for a in IMAGINARY_SUBS:
             res = check_equiv(
                 parse(f"C [[A]{a} B]{a}"), parse(f"C [[A C]{a} B]{a}")
             )
